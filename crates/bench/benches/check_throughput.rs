@@ -5,24 +5,24 @@
 //! on a fixed 400-trace slice of the suite, single-threaded and with four
 //! workers.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use sibylfs_bench::{bench_spec, bench_traces};
-use sibylfs_check::{check_traces_parallel, CheckOptions};
+use sibylfs_check::{CheckOptions, CheckerPool};
 
 fn check_throughput(c: &mut Criterion) {
-    let traces = bench_traces();
+    // Shared, so each iteration hands the pool pointers rather than copies.
+    let traces: Vec<Arc<_>> = bench_traces().into_iter().map(Arc::new).collect();
     let cfg = bench_spec();
     let mut group = c.benchmark_group("check_throughput");
     group.sample_size(10);
     group.throughput(Throughput::Elements(traces.len() as u64));
     for workers in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-            b.iter(|| {
-                let (checked, _) =
-                    check_traces_parallel(&cfg, &traces, CheckOptions::default(), w);
-                checked.len()
-            })
+        let pool = CheckerPool::new(workers);
+        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
+            b.iter(|| pool.check_batch(&cfg, traces.iter().cloned(), CheckOptions::default()).len())
         });
     }
     group.finish();

@@ -17,7 +17,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checker;
-pub mod parallel;
 pub mod pool;
 pub mod render;
 
@@ -26,7 +25,6 @@ pub use checker::{
     StepLabel,
     StepKind, StepVerdict,
 };
-pub use parallel::{check_traces_parallel, SuiteCheckStats};
 pub use pool::CheckerPool;
 pub use render::{
     render_checked_trace, render_diagnostic_block, render_parse_error, DiagnosticBlock,

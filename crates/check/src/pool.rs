@@ -1,87 +1,62 @@
-//! A persistent checker worker pool for long-lived processes.
+//! The persistent checker pool.
 //!
-//! [`check_traces_parallel`](crate::parallel::check_traces_parallel) spawns a
-//! scoped thread team per suite, which is the right shape for a batch CLI but
-//! wrong for a server: a long-lived process wants its worker threads created
-//! once and fed jobs from many concurrent sessions, so checking stays batched
-//! across clients and thread churn never shows up in tail latency.
+//! [`CheckerPool`] is a [`sibylfs_core::pool::Pool`] whose jobs run
+//! [`check_trace`]: `sibylfs-check-{i}` threads created once, fed from a queue
+//! bounded at twice the worker count, reporting into the `sibylfs_pool_*`
+//! metrics. A long-lived server shares it across sessions without thread
+//! churn, and a suite producer that outruns checking blocks in
+//! [`submit`](CheckerPool::submit) instead of buffering traces.
 //!
-//! [`CheckerPool`] owns N worker threads for the life of the pool. Jobs carry
-//! the trace, the spec config, the check options, and a completion callback;
-//! callbacks run on worker threads, so they should hand results off (e.g.
-//! into a session's reply queue) rather than do heavy work inline.
+//! A `submit` callback runs on a worker thread. It must hand its result off
+//! (e.g. into a session's reply buffer) and must never `submit` to the same
+//! pool: once the queue is full and every worker waits in `submit`, nothing
+//! is left to drain it.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::borrow::Borrow;
 
 use sibylfs_core::flavor::SpecConfig;
-use sibylfs_core::obs;
+use sibylfs_core::obs::m;
+use sibylfs_core::pool::{Pool, PoolMetrics};
 use sibylfs_script::Trace;
 
 use crate::checker::{check_trace, CheckOptions, CheckedTrace};
 
-/// One unit of work: check `trace` against `cfg` and hand the result to `done`.
-struct Job {
-    cfg: SpecConfig,
-    trace: Trace,
-    opts: CheckOptions,
-    done: Box<dyn FnOnce(CheckedTrace) + Send>,
-    /// When the job entered the queue; queue wait = pickup − this.
-    submitted_at: Instant,
-}
+static METRICS: PoolMetrics = PoolMetrics {
+    span: ("pool", "pool_job"),
+    workers: &m::POOL_WORKERS,
+    queue_depth: &m::POOL_QUEUE_DEPTH,
+    busy_ns: &m::POOL_BUSY_NS_TOTAL,
+    jobs: Some(&m::POOL_JOBS_TOTAL),
+    panicked: Some(&m::POOL_JOBS_PANICKED),
+    wait_ns: Some(&m::POOL_JOB_WAIT_NS),
+    run_ns: Some(&m::POOL_JOB_RUN_NS),
+    reorder_depth: None,
+};
 
-struct PoolState {
-    queue: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct PoolInner {
-    state: Mutex<PoolState>,
-    work_ready: Condvar,
-}
-
-/// A fixed-size pool of persistent checker threads with a shared FIFO queue.
+/// A fixed-size pool of persistent checker threads.
 pub struct CheckerPool {
-    inner: Arc<PoolInner>,
-    workers: Vec<JoinHandle<()>>,
+    pool: Pool,
 }
 
 impl CheckerPool {
     /// Spawn a pool with `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> CheckerPool {
-        let workers = workers.max(1);
-        let inner = Arc::new(PoolInner {
-            state: Mutex::new(PoolState { queue: VecDeque::new(), shutdown: false }),
-            work_ready: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("sibylfs-check-{i}"))
-                    .spawn(move || worker_loop(&inner))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_or_else(|e| panic!("failed to spawn checker worker: {e}"));
-        obs::m::POOL_WORKERS.add(handles.len() as i64);
-        CheckerPool { inner, workers: handles }
+        CheckerPool { pool: Pool::new("sibylfs-check", workers, &METRICS) }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.pool.workers()
     }
 
     /// Jobs accepted but not yet picked up by a worker.
     pub fn queued(&self) -> usize {
-        lock(&self.inner.state).queue.len()
+        self.pool.queued()
     }
 
-    /// Enqueue one trace for checking. `done` runs on a worker thread once
-    /// the verdict is ready; jobs complete in whatever order workers finish,
-    /// so callers needing ordered replies must sequence on their side.
+    /// Enqueue one trace for checking, blocking while the queue is full.
+    /// `done` runs on a worker thread once the verdict is ready; jobs
+    /// complete in whatever order workers finish.
     pub fn submit(
         &self,
         cfg: SpecConfig,
@@ -89,121 +64,42 @@ impl CheckerPool {
         opts: CheckOptions,
         done: impl FnOnce(CheckedTrace) + Send + 'static,
     ) {
-        let job = Job {
-            cfg,
-            trace,
-            opts,
-            done: Box::new(done),
-            submitted_at: Instant::now(),
-        };
-        let mut st = lock(&self.inner.state);
-        st.queue.push_back(job);
-        obs::m::POOL_JOBS_TOTAL.inc();
-        obs::m::POOL_QUEUE_DEPTH.inc();
-        drop(st);
-        self.inner.work_ready.notify_one();
+        self.pool.submit(move || done(check_trace(&cfg, &trace, opts)));
     }
 
-    /// Check a batch of traces and block until all verdicts are in, returned
-    /// in input order. Convenience wrapper over [`submit`](Self::submit) for
-    /// callers with batch shape (tests, the remote-check CLI path).
-    pub fn check_batch(
+    /// Check every trace and return the verdicts in input order. `traces`
+    /// is pulled lazily, so it may itself be a stream (e.g. the execution
+    /// pipeline's). A check that panics re-raises on the caller's thread.
+    pub fn check_batch<T>(
         &self,
         cfg: &SpecConfig,
-        traces: Vec<Trace>,
+        traces: impl IntoIterator<Item = T>,
         opts: CheckOptions,
-    ) -> Vec<CheckedTrace> {
-        // Filled slots keep input order no matter how workers interleave;
-        // the usize counts completions so the waiter knows when to wake.
-        type BatchSlots = (Vec<Option<CheckedTrace>>, usize);
-        let total = traces.len();
-        let results: Arc<(Mutex<BatchSlots>, Condvar)> = Arc::new((
-            Mutex::new(((0..total).map(|_| None).collect(), 0)),
-            Condvar::new(),
-        ));
-        for (i, trace) in traces.into_iter().enumerate() {
-            let results = Arc::clone(&results);
-            self.submit(*cfg, trace, opts, move |checked| {
-                let (slots, all_done) = &*results;
-                let mut guard = lock(slots);
-                guard.0[i] = Some(checked);
-                guard.1 += 1;
-                if guard.1 == total {
-                    all_done.notify_all();
-                }
-            });
-        }
-        let (slots, all_done) = &*results;
-        let mut guard = lock(slots);
-        while guard.1 < total {
-            guard = all_done.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-        guard.0.drain(..).flatten().collect()
+    ) -> Vec<CheckedTrace>
+    where
+        T: Borrow<Trace> + Send + 'static,
+    {
+        let cfg = *cfg;
+        self.pool.ordered(traces, move |t: T| check_trace(&cfg, t.borrow(), opts)).collect()
     }
-}
-
-impl Drop for CheckerPool {
-    fn drop(&mut self) {
-        let workers = self.workers.len() as i64;
-        lock(&self.inner.state).shutdown = true;
-        self.inner.work_ready.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        obs::m::POOL_WORKERS.add(-workers);
-    }
-}
-
-fn worker_loop(inner: &PoolInner) {
-    loop {
-        let job = {
-            let mut st = lock(&inner.state);
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    break Some(job);
-                }
-                if st.shutdown {
-                    break None;
-                }
-                st = inner.work_ready.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(job) = job else { return };
-        obs::m::POOL_QUEUE_DEPTH.dec();
-        obs::m::POOL_JOB_WAIT_NS.record_duration(job.submitted_at.elapsed());
-        let run_started = Instant::now();
-        // A panicking job — whether the check itself or its callback — must
-        // not take the worker down with it: the pool outlives any one
-        // session's bugs. Metrics are relaxed atomics, so the unwinding path
-        // cannot poison them; the panic is tallied and the worker moves on.
-        let run = std::panic::AssertUnwindSafe(move || {
-            let _span = obs::span("pool", "pool_job");
-            let checked = check_trace(&job.cfg, &job.trace, job.opts);
-            (job.done)(checked);
-        });
-        let outcome = std::panic::catch_unwind(run);
-        let busy = run_started.elapsed();
-        obs::m::POOL_JOB_RUN_NS.record_duration(busy);
-        obs::m::POOL_BUSY_NS_TOTAL.add(u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX));
-        if outcome.is_err() {
-            obs::m::POOL_JOBS_PANICKED.inc();
-        }
-    }
-}
-
-/// Lock a mutex, riding through poisoning: a panicking callback must not
-/// wedge every other session's checking.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sibylfs_core::flavor::{Flavor, SpecConfig};
+    use sibylfs_core::obs;
     use sibylfs_exec::{execute_script, ExecOptions};
     use sibylfs_fsimpl::configs;
     use sibylfs_testgen::{generate_suite, SuiteOptions};
+    use std::sync::Arc;
+
+    /// The pool metrics are process-wide, so tests that submit jobs run one
+    /// at a time: the load test asserts exact deltas.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn quick_traces() -> Vec<Trace> {
         let profile = configs::by_name("linux/ext4").unwrap();
@@ -215,12 +111,11 @@ mod tests {
 
     #[test]
     fn batch_matches_direct_checking() {
+        let _serial = serial();
         let cfg = SpecConfig::standard(Flavor::Linux);
         let traces = quick_traces();
-        let direct: Vec<CheckedTrace> = traces
-            .iter()
-            .map(|t| check_trace(&cfg, t, CheckOptions::default()))
-            .collect();
+        let direct: Vec<CheckedTrace> =
+            traces.iter().map(|t| check_trace(&cfg, t, CheckOptions::default())).collect();
         let pool = CheckerPool::new(4);
         let pooled = pool.check_batch(&cfg, traces, CheckOptions::default());
         assert_eq!(direct.len(), pooled.len());
@@ -234,6 +129,7 @@ mod tests {
     #[test]
     fn callbacks_fire_once_per_submit() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        let _serial = serial();
         let cfg = SpecConfig::standard(Flavor::Linux);
         let traces = quick_traces();
         let n = traces.len();
@@ -251,6 +147,7 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicking_callback() {
+        let _serial = serial();
         let cfg = SpecConfig::standard(Flavor::Linux);
         let traces = quick_traces();
         let panicked0 = obs::m::POOL_JOBS_PANICKED.get();
@@ -282,10 +179,13 @@ mod tests {
     fn pool_load_populates_queue_gauge_and_latency_histograms() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::mpsc;
+        let _serial = serial();
 
         let cfg = SpecConfig::standard(Flavor::Linux);
         let traces = quick_traces();
-        let stacked = traces.len().min(16);
+        // Exactly the queue bound of a one-worker pool: one more would block
+        // this thread in `submit` before it could release the worker.
+        let stacked = 2;
         let total = stacked + 1;
 
         let jobs0 = obs::m::POOL_JOBS_TOTAL.get();
@@ -335,5 +235,128 @@ mod tests {
         assert!(obs::m::POOL_BUSY_NS_TOTAL.get() > busy0, "busy time must accumulate");
         let stat = obs::m::POOL_JOB_WAIT_NS.stat();
         assert!(stat.p50 <= stat.p95 && stat.p95 <= stat.p99, "quantiles are ordered");
+    }
+
+    /// The queue is bounded at 2 × workers: with the only worker blocked, a
+    /// producer submitting more than that waits in `submit` instead of
+    /// growing the queue, and resumes once the worker is released.
+    #[test]
+    fn submit_blocks_at_the_queue_bound() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let _serial = serial();
+
+        let cfg = SpecConfig::standard(Flavor::Linux);
+        let opts = CheckOptions::default();
+        let traces = quick_traces();
+        let pool = Arc::new(CheckerPool::new(1));
+        let bound = 2 * pool.workers();
+        let extra = bound + 2;
+        let fired = Arc::new(AtomicUsize::new(0));
+
+        // Occupy the only worker until released.
+        let (started_tx, started) = mpsc::channel::<()>();
+        let (release, blocked) = mpsc::channel::<()>();
+        {
+            let fired = Arc::clone(&fired);
+            pool.submit(cfg, traces[0].clone(), opts, move |_| {
+                started_tx.send(()).expect("test is waiting");
+                blocked.recv().expect("release signal");
+                fired.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        started.recv().expect("worker picked up the blocking job");
+
+        // A helper submits bound + 2 more jobs, acknowledging each one the
+        // pool accepts.
+        let (accepted_tx, accepted) = mpsc::channel::<()>();
+        let helper = {
+            let pool = Arc::clone(&pool);
+            let fired = Arc::clone(&fired);
+            let more = traces[1..=extra].to_vec();
+            std::thread::spawn(move || {
+                for t in more {
+                    let fired = Arc::clone(&fired);
+                    pool.submit(cfg, t, opts, move |_| {
+                        fired.fetch_add(1, Ordering::SeqCst);
+                    });
+                    accepted_tx.send(()).expect("test is listening");
+                }
+            })
+        };
+        for _ in 0..bound {
+            accepted.recv().expect("the pool accepts jobs up to its bound");
+        }
+        assert_eq!(pool.queued(), bound);
+        assert!(
+            accepted.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a submit beyond the bound must block while the worker is busy"
+        );
+        assert_eq!(pool.queued(), bound, "the queue never exceeds its bound");
+
+        release.send(()).expect("worker is waiting");
+        helper.join().expect("helper finishes once the worker drains the queue");
+        drop(pool); // the last handle: drains the queue and joins the worker
+        assert_eq!(fired.load(Ordering::SeqCst), 1 + extra, "every callback fires once");
+    }
+
+    /// A batch input whose access panics, standing in for a check that
+    /// panics on a worker.
+    enum Input {
+        Fine(Trace),
+        Hostile,
+    }
+
+    impl Borrow<Trace> for Input {
+        fn borrow(&self) -> &Trace {
+            match self {
+                Input::Fine(t) => t,
+                Input::Hostile => panic!("hostile check job"),
+            }
+        }
+    }
+
+    #[test]
+    fn check_batch_reraises_a_panicking_check_and_the_pool_stays_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let _serial = serial();
+        // The body runs on its own thread, so a hang fails the test instead
+        // of wedging the suite.
+        let (tx, rx) = channel();
+        let body = std::thread::spawn(move || {
+            let cfg = SpecConfig::standard(Flavor::Linux);
+            let traces = quick_traces();
+            let pool = CheckerPool::new(2);
+            let panicked0 = obs::m::POOL_JOBS_PANICKED.get();
+            let inputs: Vec<Input> = traces
+                .iter()
+                .take(8)
+                .enumerate()
+                .map(|(i, t)| if i == 3 { Input::Hostile } else { Input::Fine(t.clone()) })
+                .collect();
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                pool.check_batch(&cfg, inputs, CheckOptions::default())
+            }));
+            let message = run
+                .expect_err("the check's panic must reach the caller")
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default();
+            let counted = obs::m::POOL_JOBS_PANICKED.get() > panicked0;
+            let after = pool.check_batch(&cfg, traces, CheckOptions::default());
+            tx.send((message, counted, after.len())).expect("test is waiting");
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok((message, counted, n)) => {
+                body.join().expect("test body finished");
+                assert_eq!(message, "hostile check job");
+                assert!(counted, "a panicking job must increment sibylfs_pool_jobs_panicked");
+                assert!(n > 0, "the pool must stay usable after a job panics");
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("check_batch hung on a panicking check"),
+            Err(RecvTimeoutError::Disconnected) => panic!("test body panicked"),
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! exercised by the matching flavour, as the paper notes), and reports the
 //! fraction of specification points hit.
 
-use sibylfs_check::{check_traces_parallel, CheckOptions};
+use sibylfs_check::{CheckOptions, CheckerPool};
 use sibylfs_cli::suite_from_args;
 use sibylfs_core::coverage;
 use sibylfs_core::flavor::{Flavor, SpecConfig};
@@ -22,6 +22,7 @@ fn main() {
     println!("# §7.2 Test coverage of the model\n");
     println!("Suite size: {} scripts\n", suite.len());
 
+    let pool = CheckerPool::new(4);
     coverage::enable();
     for (config, flavor) in [
         ("linux/tmpfs", Flavor::Linux),
@@ -33,13 +34,13 @@ fn main() {
         let profile = configs::by_name(config).expect("registered configuration");
         let traces = execute_suite(&profile, &suite, ExecOptions::default());
         let cfg = SpecConfig::standard(flavor);
-        let (_, stats) = check_traces_parallel(&cfg, &traces, CheckOptions::default(), 4);
+        let checked = pool.check_batch(&cfg, traces, CheckOptions::default());
         println!(
             "* checked {} against `{}`: {}/{} accepted",
             config,
             flavor.name(),
-            stats.accepted,
-            stats.traces
+            checked.iter().filter(|c| c.accepted).count(),
+            checked.len()
         );
     }
     let hits = coverage::disable();

@@ -3,10 +3,10 @@
 
 pub mod bench_diff;
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use sibylfs_check::{CheckOptions, CheckedTrace, CheckerPool, SuiteCheckStats};
+use sibylfs_check::{CheckOptions, CheckedTrace, CheckerPool};
 use sibylfs_core::flavor::{Flavor, SpecConfig};
 use sibylfs_exec::{
     ExecError, ExecOptions, ExecPipeline, ExecStats, Executor, SimExecutor, HOST_CONFIG_NAME,
@@ -46,8 +46,9 @@ pub struct ConfigRun {
     pub exec_stats: ExecStats,
     /// Wall-clock execution time in seconds.
     pub exec_secs: f64,
-    /// Checking statistics.
-    pub check_stats: SuiteCheckStats,
+    /// Wall-clock checking time in seconds. Checking overlaps execution, so
+    /// this runs from the first script to the last verdict.
+    pub check_secs: f64,
     /// The per-trace results.
     pub checked: Vec<CheckedTrace>,
     /// The aggregated summary.
@@ -101,9 +102,10 @@ pub fn host_profile() -> BehaviorProfile {
 ///
 /// Execution and checking are *pipelined*: scripts stream through an
 /// [`ExecPipeline`] of `workers` executor threads, and every trace is handed
-/// to a [`CheckerPool`] the moment it is delivered, while later scripts are
-/// still executing. Results keep suite order, and are byte-identical to the
-/// old execute-everything-then-check-everything sequence.
+/// to a [`CheckerPool`] as soon as it is next in order, while later scripts
+/// are still executing. Both queues are bounded, so neither stage buffers
+/// the suite. Results keep suite order, and are byte-identical to the old
+/// execute-everything-then-check-everything sequence.
 ///
 /// `ConfigRun::profile` is resolved from the executor's configuration name
 /// (registry lookup, or the host pseudo-profile); callers that already hold
@@ -132,61 +134,37 @@ fn run_executor_with_profile(
     let start = Instant::now();
     let pipeline = ExecPipeline::new(exec, workers);
     let checkers = CheckerPool::new(workers);
-    // Checked results land here by suite index, however the two pools
-    // interleave; the counter tells the tail wait when everything arrived.
-    type Slots = (Mutex<(Vec<Option<CheckedTrace>>, usize)>, Condvar);
-    let slots: Arc<Slots> = Arc::new((Mutex::new((vec![None; suite.len()], 0)), Condvar::new()));
-
     let mut first_err: Option<ExecError> = None;
-    let mut submitted = 0usize;
     let mut calls = 0usize;
     let mut exec_secs = 0.0f64;
-    pipeline.execute_ordered(suite, ExecOptions::default(), |idx, res| {
+    // Checking pulls traces from the pipeline as it goes. The first error
+    // (by input order) stops the feed; the pipeline drains on drop.
+    let traces = pipeline.execute_stream(suite, ExecOptions::default()).map_while(|res| {
         exec_secs = start.elapsed().as_secs_f64();
         match res {
-            Ok(trace) if first_err.is_none() => {
+            Ok(trace) => {
                 calls += trace.call_count();
-                submitted += 1;
-                let slots = Arc::clone(&slots);
-                checkers.submit(cfg, trace, CheckOptions::default(), move |checked| {
-                    let (lock, done) = &*slots;
-                    let mut g = lock.lock().unwrap_or_else(|e| e.into_inner());
-                    g.0[idx] = Some(checked);
-                    g.1 += 1;
-                    done.notify_all();
-                });
+                Some(trace)
             }
-            // After the first error the run's fate is sealed: drain the
-            // pipeline but stop feeding the checkers.
-            Ok(_) => {}
-            Err(e) => first_err = Some(first_err.take().unwrap_or(e)),
+            Err(e) => {
+                first_err = Some(e);
+                None
+            }
         }
     });
+    let checked = checkers.check_batch(&cfg, traces, CheckOptions::default());
     if let Some(e) = first_err {
         return Err(e);
     }
-    let exec_stats = ExecStats { scripts: submitted, calls, trace_bytes: 0 };
+    let exec_stats = ExecStats { scripts: checked.len(), calls, trace_bytes: 0 };
 
-    let checked: Vec<CheckedTrace> = {
-        let (lock, done) = &*slots;
-        let mut g = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while g.1 < submitted {
-            g = done.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-        std::mem::take(&mut g.0)
-            .into_iter()
-            .map(|s| s.expect("every submitted trace is checked exactly once"))
-            .collect()
-    };
-    // Checking overlaps execution, so its wall clock is the whole pipeline's:
-    // start of the first script to the last verdict.
-    let check_stats = SuiteCheckStats::from_results(&checked, start.elapsed(), workers);
+    let check_secs = start.elapsed().as_secs_f64();
 
     let summary = summarize_run_for_backend(&config_name, flavor.name(), backend_name, &checked);
     let profile = profile.unwrap_or_else(|| {
         configs::by_name(&config_name).unwrap_or_else(host_profile)
     });
-    Ok(ConfigRun { profile, flavor, exec_stats, exec_secs, check_stats, checked, summary })
+    Ok(ConfigRun { profile, flavor, exec_stats, exec_secs, check_secs, checked, summary })
 }
 
 /// Execute the suite on a simulated configuration and check the traces
@@ -200,11 +178,6 @@ pub fn run_config(
     let exec = Arc::new(SimExecutor::new(profile.clone()));
     run_executor_with_profile(exec, Some(profile.clone()), flavor, suite, workers)
         .expect("the simulation is infallible")
-}
-
-/// Execute and check a configuration against the flavour of its own platform.
-pub fn run_config_native(profile: &BehaviorProfile, suite: &[Script], workers: usize) -> ConfigRun {
-    run_config(profile, profile.platform, suite, workers)
 }
 
 /// Look up a configuration or exit with a helpful message.
@@ -256,7 +229,7 @@ mod tests {
         assert_eq!(run.summary.traces, 50);
         assert_eq!(run.summary.accepted + run.summary.failing, 50);
         assert_eq!(run.summary.backend, "sim");
-        assert!(run.check_stats.traces_per_sec > 0.0);
+        assert!(run.check_secs > 0.0);
     }
 
     #[test]

@@ -56,8 +56,6 @@ EXPLORE OPTIONS:
     --corpus-dir DIR         persist minimized corpus entries under DIR
     --seed N                 base seed; every derived seed is recorded (default 42)
     --workers N              worker threads (default: up to 4)
-    --batch N                mutants per worker pipeline batch (default 8; 1 =
-                             sequential evaluation)
     --min-coverage PCT       exit 1 if final branch coverage is below PCT
     --require-gain           exit 1 unless exploration beat the static quick suite
 
@@ -260,9 +258,9 @@ fn cmd_run(args: &[String]) {
         run.exec_secs,
         run.summary.backend,
         exec_workers,
-        run.check_stats.elapsed_secs,
-        run.check_stats.traces_per_sec,
-        run.check_stats.workers
+        run.check_secs,
+        run.checked.len() as f64 / run.check_secs,
+        exec_workers
     );
     print_timings_if_asked(args);
 }
@@ -505,9 +503,6 @@ fn cmd_explore(args: &[String]) {
     }
     if let Some(workers) = num::<usize>(args, "--workers") {
         opts.workers = workers.max(1);
-    }
-    if let Some(batch) = num::<usize>(args, "--batch") {
-        opts.batch = batch.max(1);
     }
     opts.corpus_dir = opt_value(args, "--corpus-dir").map(PathBuf::from);
     opts.progress = true;

@@ -63,6 +63,7 @@ pub mod obs;
 pub mod os;
 pub mod path;
 pub mod perms;
+pub mod pool;
 pub mod spec_registry;
 pub mod state;
 pub mod types;

@@ -228,13 +228,6 @@ impl Histogram {
             })
             .collect()
     }
-
-    /// Inclusive upper bound of log2 bucket `i` (the quantile estimate for
-    /// samples landing there). Exposed so bucket-export consumers can map
-    /// indices back to value ranges.
-    pub fn bucket_bound(i: usize) -> u64 {
-        Self::bucket_upper(i)
-    }
 }
 
 impl Default for Histogram {

@@ -983,11 +983,6 @@ impl HostFs {
         HostFs { pool: Some(std::sync::Arc::new(WorkerPool::new(workers))) }
     }
 
-    /// Whether this handle runs on the persistent worker pool.
-    pub fn is_pooled(&self) -> bool {
-        self.pool.is_some()
-    }
-
     /// Whether this backend can run here (see [`sandbox_available`]).
     pub fn available() -> bool {
         sandbox_available()

@@ -6,184 +6,82 @@
 //! a pooled one) serializes end-to-end, and downstream checking cannot start
 //! until the whole suite has executed.
 //!
-//! [`ExecPipeline`] owns N executor threads fed from a *bounded* queue
-//! ([`submit`](ExecPipeline::submit) blocks when the queue is full, so a fast
-//! producer cannot buffer an unbounded suite in memory), and
-//! [`execute_ordered`](ExecPipeline::execute_ordered) adds deterministic
-//! order-preserving delivery on top: completed traces park in a reorder
-//! buffer keyed by submission index and a sink receives them strictly in
-//! input order while later scripts are still executing — the same
-//! per-session sequencing idiom as the serve writer loop. This is what lets
-//! the CLI hand trace `i` to the checker pool while scripts `i+1..` are
-//! still running, with results byte-identical to the sequential path.
+//! [`ExecPipeline`] is a [`sibylfs_core::pool::Pool`] whose jobs each execute
+//! one script on a `sibylfs-exec-{i}` thread. Its queue is bounded at twice
+//! the worker count, so a fast producer cannot buffer an unbounded suite in
+//! memory, and [`execute_stream`](ExecPipeline::execute_stream) yields traces
+//! strictly in input order while later scripts are still executing (early
+//! finishers park in the pool's reorder buffer, visible as the
+//! `sibylfs_exec_pipe_reorder_depth` gauge). This is what lets the CLI hand
+//! trace `i` to the checker pool while scripts `i+1..` are still running,
+//! with results byte-identical to the sequential path. An executor panic
+//! re-raises on the caller's thread at that script's turn.
 //!
 //! The pipeline is backend-agnostic: the executor is shared behind an `Arc`,
 //! so the sim backend (stateless per call) and the pooled host backend
-//! (workers checked out per call internally) both parallelize safely.
+//! (workers checked out per call internally) both parallelize safely. Like
+//! every pool job, an executor must never submit to the pipeline running it.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::Arc;
 
-use sibylfs_core::obs;
+use sibylfs_core::obs::m;
+use sibylfs_core::pool::{Pool, PoolMetrics};
 use sibylfs_script::{Script, Trace};
 
 use crate::{ExecError, ExecOptions, Executor};
 
-/// One unit of work: execute `script` and hand the result to `done`.
-struct Job {
-    script: Script,
-    opts: ExecOptions,
-    done: Box<dyn FnOnce(Result<Trace, ExecError>) + Send>,
-}
+static METRICS: PoolMetrics = PoolMetrics {
+    span: ("exec", "pipeline_job"),
+    workers: &m::EXEC_PIPE_WORKERS,
+    queue_depth: &m::EXEC_PIPE_QUEUE_DEPTH,
+    busy_ns: &m::EXEC_PIPE_BUSY_NS_TOTAL,
+    jobs: None,
+    panicked: None,
+    wait_ns: None,
+    run_ns: None,
+    reorder_depth: Some(&m::EXEC_PIPE_REORDER_DEPTH),
+};
 
-struct PipeState {
-    queue: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct PipeInner {
-    state: Mutex<PipeState>,
-    /// Signalled when a job is queued (workers wait on this).
-    work_ready: Condvar,
-    /// Signalled when a job is picked up (blocked submitters wait on this).
-    slot_free: Condvar,
-    /// Queue capacity: submit blocks once this many jobs are waiting.
-    capacity: usize,
-}
-
-/// A fixed-size pool of executor threads with a bounded FIFO queue.
+/// A fixed-size pool of executor threads.
 pub struct ExecPipeline {
-    inner: Arc<PipeInner>,
-    workers: Vec<JoinHandle<()>>,
+    exec: Arc<dyn Executor + Send + Sync>,
+    pool: Pool,
 }
 
 impl ExecPipeline {
     /// Spawn a pipeline with `workers` executor threads (clamped to at least
     /// 1) and a queue bounded at twice the worker count.
     pub fn new(exec: Arc<dyn Executor + Send + Sync>, workers: usize) -> ExecPipeline {
-        let workers = workers.max(1);
-        Self::with_capacity(exec, workers, workers * 2)
+        ExecPipeline { exec, pool: Pool::new("sibylfs-exec", workers, &METRICS) }
     }
 
-    /// Spawn a pipeline with an explicit queue bound (clamped to ≥ 1).
-    pub fn with_capacity(
-        exec: Arc<dyn Executor + Send + Sync>,
-        workers: usize,
-        capacity: usize,
-    ) -> ExecPipeline {
-        let workers = workers.max(1);
-        let inner = Arc::new(PipeInner {
-            state: Mutex::new(PipeState { queue: VecDeque::new(), shutdown: false }),
-            work_ready: Condvar::new(),
-            slot_free: Condvar::new(),
-            capacity: capacity.max(1),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                let exec = Arc::clone(&exec);
-                std::thread::Builder::new()
-                    .name(format!("sibylfs-exec-{i}"))
-                    .spawn(move || worker_loop(&inner, &*exec))
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_or_else(|e| panic!("failed to spawn exec worker: {e}"));
-        obs::m::EXEC_PIPE_WORKERS.add(handles.len() as i64);
-        ExecPipeline { inner, workers: handles }
-    }
-
-    /// Number of executor threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueue one script, blocking while the queue is at capacity
-    /// (backpressure). `done` runs on an executor thread once the trace is
-    /// ready; jobs complete in whatever order workers finish, so callers
-    /// needing ordered results use [`execute_ordered`](Self::execute_ordered)
-    /// or [`execute_batch`](Self::execute_batch).
-    pub fn submit(
-        &self,
-        script: Script,
+    /// Execute `scripts`, yielding one result per script strictly in input
+    /// order. Scripts are submitted as the iterator is pulled.
+    pub fn execute_stream<'a>(
+        &'a self,
+        scripts: &'a [Script],
         opts: ExecOptions,
-        done: impl FnOnce(Result<Trace, ExecError>) + Send + 'static,
-    ) {
-        let mut st = lock(&self.inner.state);
-        while st.queue.len() >= self.inner.capacity && !st.shutdown {
-            st = self.inner.slot_free.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        st.queue.push_back(Job { script, opts, done: Box::new(done) });
-        obs::m::EXEC_PIPE_QUEUE_DEPTH.inc();
-        drop(st);
-        self.inner.work_ready.notify_one();
+    ) -> impl Iterator<Item = Result<Trace, ExecError>> + 'a {
+        let exec = Arc::clone(&self.exec);
+        self.pool.ordered(scripts.iter().cloned(), move |script: Script| {
+            let res = exec.execute_script(&script, opts);
+            m::EXEC_PIPE_SCRIPTS_TOTAL.inc();
+            res
+        })
     }
 
-    /// Execute `scripts`, delivering `(index, result)` to `sink` strictly in
-    /// input order — index `i` is always delivered before `i+1`, even though
-    /// execution itself is out of order across the workers. Completed traces
-    /// that arrive early wait in a reorder buffer (its depth is visible as
-    /// the `sibylfs_exec_pipe_reorder_depth` gauge). The sink runs on the
-    /// calling thread, interleaved with submission, so it may block (e.g.
-    /// feeding a checker pool) without stalling the executor threads beyond
-    /// the queue bound.
+    /// Execute `scripts`, delivering `(index, result)` to `sink` on the
+    /// calling thread strictly in input order, interleaved with submission,
+    /// so the sink may block (e.g. feeding a checker pool) without stalling
+    /// the executor threads beyond the queue bound.
     pub fn execute_ordered(
         &self,
         scripts: &[Script],
         opts: ExecOptions,
         mut sink: impl FnMut(usize, Result<Trace, ExecError>),
     ) {
-        struct Reorder {
-            ready: BTreeMap<usize, Result<Trace, ExecError>>,
-            next: usize,
-        }
-        let reorder: Arc<(Mutex<Reorder>, Condvar)> =
-            Arc::new((Mutex::new(Reorder { ready: BTreeMap::new(), next: 0 }), Condvar::new()));
-
-        // Drain every result that is already deliverable in order; when
-        // `block` is set, wait until at least one more is delivered.
-        let drain = |sink: &mut dyn FnMut(usize, Result<Trace, ExecError>), block: bool| {
-            let (m, cv) = &*reorder;
-            let mut g = lock(m);
-            let mut delivered = Vec::new();
-            loop {
-                loop {
-                    let next = g.next;
-                    let Some(res) = g.ready.remove(&next) else { break };
-                    delivered.push((next, res));
-                    g.next += 1;
-                }
-                if !delivered.is_empty() || !block {
-                    break;
-                }
-                g = cv.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-            obs::m::EXEC_PIPE_REORDER_DEPTH.set(g.ready.len() as i64);
-            drop(g);
-            // Deliver outside the lock: the sink may block on the checker
-            // pool, and workers must keep inserting completions meanwhile.
-            for (i, res) in delivered {
-                sink(i, res);
-            }
-        };
-
-        for (i, script) in scripts.iter().enumerate() {
-            let reorder = Arc::clone(&reorder);
-            self.submit(script.clone(), opts, move |res| {
-                let (m, cv) = &*reorder;
-                let mut g = lock(m);
-                g.ready.insert(i, res);
-                obs::m::EXEC_PIPE_REORDER_DEPTH.set(g.ready.len() as i64);
-                drop(g);
-                cv.notify_all();
-            });
-            // Opportunistic: hand over whatever is already in order, so the
-            // sink streams while submission continues.
-            drain(&mut sink, false);
-        }
-        while lock(&reorder.0).next < scripts.len() {
-            drain(&mut sink, true);
+        for (i, res) in self.execute_stream(scripts, opts).enumerate() {
+            sink(i, res);
         }
     }
 
@@ -193,58 +91,8 @@ impl ExecPipeline {
         scripts: &[Script],
         opts: ExecOptions,
     ) -> Vec<Result<Trace, ExecError>> {
-        let mut out = Vec::with_capacity(scripts.len());
-        self.execute_ordered(scripts, opts, |_, res| out.push(res));
-        out
+        self.execute_stream(scripts, opts).collect()
     }
-}
-
-impl Drop for ExecPipeline {
-    fn drop(&mut self) {
-        let workers = self.workers.len() as i64;
-        lock(&self.inner.state).shutdown = true;
-        self.inner.work_ready.notify_all();
-        self.inner.slot_free.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        obs::m::EXEC_PIPE_WORKERS.add(-workers);
-    }
-}
-
-fn worker_loop(inner: &PipeInner, exec: &(dyn Executor + Send + Sync)) {
-    loop {
-        let job = {
-            let mut st = lock(&inner.state);
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    break Some(job);
-                }
-                if st.shutdown {
-                    break None;
-                }
-                st = inner.work_ready.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(job) = job else { return };
-        obs::m::EXEC_PIPE_QUEUE_DEPTH.dec();
-        inner.slot_free.notify_one();
-        let started = Instant::now();
-        let res = {
-            let _span = obs::span("exec", "pipeline_job");
-            exec.execute_script(&job.script, job.opts)
-        };
-        let busy = started.elapsed();
-        obs::m::EXEC_PIPE_SCRIPTS_TOTAL.inc();
-        obs::m::EXEC_PIPE_BUSY_NS_TOTAL.add(u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX));
-        (job.done)(res);
-    }
-}
-
-/// Lock a mutex, riding through poisoning: a panicking completion callback
-/// must not wedge the remaining jobs.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -287,7 +135,7 @@ mod tests {
     #[test]
     fn ordered_delivery_is_strictly_in_input_order() {
         let scripts = suite(64);
-        let pipe = ExecPipeline::with_capacity(sim(), 8, 3);
+        let pipe = ExecPipeline::new(sim(), 8);
         let mut seen = Vec::new();
         pipe.execute_ordered(&scripts, ExecOptions::default(), |i, res| {
             assert!(res.is_ok());
@@ -298,22 +146,73 @@ mod tests {
 
     #[test]
     fn bounded_queue_applies_backpressure_but_completes() {
-        // Capacity 1 with a single worker: submission must block and resume
-        // rather than deadlock or drop jobs.
+        // One worker and a queue bound of 2: submission must block and
+        // resume rather than deadlock or drop jobs.
         let scripts = suite(16);
-        let pipe = ExecPipeline::with_capacity(sim(), 1, 1);
+        let pipe = ExecPipeline::new(sim(), 1);
         let results = pipe.execute_batch(&scripts, ExecOptions::default());
         assert_eq!(results.len(), 16);
         assert!(results.iter().all(|r| r.is_ok()));
     }
 
+    /// A buggy backend: panics on one named script, executes the rest.
+    struct PanicsOn(&'static str);
+
+    impl Executor for PanicsOn {
+        fn backend_name(&self) -> &'static str {
+            "sim"
+        }
+
+        fn config_name(&self) -> String {
+            "linux/tmpfs".to_string()
+        }
+
+        fn execute_script(&self, script: &Script, opts: ExecOptions) -> Result<Trace, ExecError> {
+            assert_ne!(script.name, self.0, "executor bug");
+            SimExecutor::new(configs::by_name("linux/tmpfs").unwrap()).execute_script(script, opts)
+        }
+    }
+
+    #[test]
+    fn executor_panic_reaches_the_caller_and_the_pipeline_stays_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        // The body runs on its own thread, so a hang fails the test instead
+        // of wedging the suite.
+        let (tx, rx) = channel();
+        let body = std::thread::spawn(move || {
+            let scripts = suite(12);
+            let pipe = ExecPipeline::new(Arc::new(PanicsOn("mkdir___pipe_5")), 2);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                pipe.execute_batch(&scripts, ExecOptions::default())
+            }));
+            let message = run
+                .expect_err("the executor's panic must reach the caller")
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let after = pipe.execute_batch(&scripts[6..], ExecOptions::default());
+            tx.send((message, after.len(), after.iter().all(Result::is_ok))).unwrap();
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok((message, n, all_ok)) => {
+                body.join().expect("test body finished");
+                assert!(message.contains("executor bug"), "payload: {message:?}");
+                assert_eq!(n, 6);
+                assert!(all_ok, "the pipeline must stay usable after a job panics");
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("execute_batch hung on a panicking executor"),
+            Err(RecvTimeoutError::Disconnected) => panic!("test body panicked"),
+        }
+    }
+
     #[test]
     fn pipeline_records_throughput_metrics() {
         let scripts = suite(8);
-        let before = obs::m::EXEC_PIPE_SCRIPTS_TOTAL.get();
+        let before = m::EXEC_PIPE_SCRIPTS_TOTAL.get();
         let pipe = ExecPipeline::new(sim(), 2);
         let _ = pipe.execute_batch(&scripts, ExecOptions::default());
-        assert!(obs::m::EXEC_PIPE_SCRIPTS_TOTAL.get() >= before + 8);
-        assert!(obs::m::EXEC_PIPE_WORKERS.high_water() >= 2);
+        assert!(m::EXEC_PIPE_SCRIPTS_TOTAL.get() >= before + 8);
+        assert!(m::EXEC_PIPE_WORKERS.high_water() >= 2);
     }
 }

@@ -59,6 +59,11 @@ use corpus::{Corpus, CorpusEntry, EntryKind, Provenance};
 use mutate::Mutator;
 use shrink::shrink;
 
+/// How many mutants each worker generates per round before executing them
+/// all through the shared execution pipeline, which keeps the pipeline (and,
+/// in differential mode, the pooled host workers) busy.
+const BATCH: usize = 8;
+
 /// Which executor(s) the exploration loop drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
@@ -113,11 +118,6 @@ pub struct ExploreOptions {
     pub corpus_dir: Option<PathBuf>,
     /// Bound on mutated script length, in steps.
     pub max_steps: usize,
-    /// How many mutants each worker generates per round before executing
-    /// them all through the shared execution pipeline. Larger batches keep
-    /// the pipeline (and, in differential mode, the pooled host workers)
-    /// busy; `1` restores strictly-sequential per-mutant evaluation.
-    pub batch: usize,
     /// What the novelty reference starts from.
     pub baseline: BaselineMode,
     /// Print a live stats line to stderr.
@@ -136,7 +136,6 @@ impl Default for ExploreOptions {
             workers: std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(2),
             corpus_dir: None,
             max_steps: 40,
-            batch: 8,
             baseline: BaselineMode::QuickSuite,
             progress: false,
         }
@@ -520,14 +519,13 @@ fn worker_loop(
     let sim = ctx.sim;
     let worker_seed = split_seed(opts.seed, worker as u64);
     let mut iter: u64 = 0;
-    let batch_size = opts.batch.max(1);
 
     loop {
         // --- Plan a batch of mutants (seed chain identical to the old
         // one-at-a-time loop: worker w, iteration i still owns
         // split_seed(split_seed(seed, w), i)). --------------------------
-        let mut planned: Vec<Planned> = Vec::with_capacity(batch_size);
-        while planned.len() < batch_size {
+        let mut planned: Vec<Planned> = Vec::with_capacity(BATCH);
+        while planned.len() < BATCH {
             if shared.stop.load(Ordering::Relaxed) {
                 break;
             }

@@ -501,6 +501,9 @@ pub fn parse_script_spanned(text: &str) -> Result<(Script, Vec<usize>), ParseErr
             if kind != "script" {
                 return Err(ParseError::new(lineno, format!("expected '@type script', got {kind:?}")));
             }
+            if seen_type {
+                return Err(repeated_header(lineno, "script"));
+            }
             seen_type = true;
             continue;
         }
@@ -532,6 +535,15 @@ pub fn parse_script_spanned(text: &str) -> Result<(Script, Vec<usize>), ParseErr
     Ok((script, linenos))
 }
 
+/// A second `@type` header: concatenated files (e.g. the output of `exec A
+/// B`) must not be merged silently into one, since that changes the verdict.
+fn repeated_header(lineno: usize, kind: &str) -> ParseError {
+    ParseError::new(
+        lineno,
+        format!("repeated '@type {kind}' header: a file holds exactly one {kind}"),
+    )
+}
+
 /// Parse a complete trace file.
 pub fn parse_trace(text: &str) -> Result<Trace, ParseError> {
     let mut trace = Trace::default();
@@ -547,6 +559,9 @@ pub fn parse_trace(text: &str) -> Result<Trace, ParseError> {
             let kind = rest.trim();
             if kind != "trace" {
                 return Err(ParseError::new(lineno, format!("expected '@type trace', got {kind:?}")));
+            }
+            if seen_type {
+                return Err(repeated_header(lineno, "trace"));
             }
             seen_type = true;
             continue;

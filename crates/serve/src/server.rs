@@ -10,7 +10,11 @@
 //! writer drains the buffer strictly in sequence order. In-flight requests
 //! per session are bounded (`max_inflight_per_session`); at the bound the
 //! reader simply stops reading, which turns into TCP backpressure on the
-//! client rather than unbounded queue growth on the server.
+//! client rather than unbounded queue growth on the server. The pool's own
+//! queue is bounded as well: a reader that finds it full waits in `submit`
+//! (again backpressure on its client). The reader holds no session lock
+//! while submitting, and pool callbacks only insert into the reply buffer,
+//! so that wait cannot deadlock.
 //!
 //! Robustness rules a long-lived process needs, each pinned by a test:
 //! - malformed request payloads get an in-order `Error` response; the session

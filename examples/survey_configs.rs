@@ -23,15 +23,20 @@ fn main() {
         "freebsd/ufs",
     ];
 
+    let pool = CheckerPool::new(4);
     let mut summaries = Vec::new();
     for name in selection {
         let profile = configs::by_name(name).expect("registered configuration");
         let traces = execute_suite(&profile, &suite, ExecOptions::default());
         let spec = SpecConfig::standard(profile.platform);
-        let (checked, stats) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
+        let start = std::time::Instant::now();
+        let checked = pool.check_batch(&spec, traces, CheckOptions::default());
         eprintln!(
             "checked {:28} {:>5}/{:<5} accepted in {:.2}s",
-            name, stats.accepted, stats.traces, stats.elapsed_secs
+            name,
+            checked.iter().filter(|c| c.accepted).count(),
+            checked.len(),
+            start.elapsed().as_secs_f64()
         );
         summaries.push(summarize_run(name, profile.platform.name(), &checked));
     }

@@ -59,7 +59,7 @@ pub use sibylfs_testgen as testgen;
 /// into scope.
 pub mod prelude {
     pub use sibylfs_check::{
-        check_trace, check_traces_parallel, render_checked_trace, CheckOptions, CheckedTrace,
+        check_trace, render_checked_trace, CheckOptions, CheckedTrace, CheckerPool,
     };
     pub use sibylfs_core::prelude::*;
     pub use sibylfs_exec::{execute_script, execute_suite, ExecOptions};

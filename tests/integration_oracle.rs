@@ -10,6 +10,15 @@ fn test_suite() -> Vec<Script> {
     generate_suite(opts)
 }
 
+/// Check `traces` on four workers, as in the paper's §7.1 setup.
+fn check_all(spec: &SpecConfig, traces: Vec<Trace>) -> Vec<CheckedTrace> {
+    CheckerPool::new(4).check_batch(spec, traces, CheckOptions::default())
+}
+
+fn accepted(checked: &[CheckedTrace]) -> usize {
+    checked.iter().filter(|c| c.accepted).count()
+}
+
 #[test]
 fn standard_linux_configurations_are_almost_entirely_accepted() {
     let suite = test_suite();
@@ -17,15 +26,15 @@ fn standard_linux_configurations_are_almost_entirely_accepted() {
         let profile = configs::by_name(name).unwrap();
         let traces = execute_suite(&profile, &suite, ExecOptions::default());
         let spec = SpecConfig::standard(Flavor::Linux);
-        let (checked, stats) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
+        let checked = check_all(&spec, traces);
         let failing: Vec<_> = checked.iter().filter(|c| !c.accepted).collect();
         // §7.2: the standard Linux platforms are accepted except for a
         // handful of traces. The reproduction requires ≥ 99% acceptance.
         assert!(
-            stats.accepted as f64 >= 0.99 * stats.traces as f64,
+            accepted(&checked) as f64 >= 0.99 * checked.len() as f64,
             "{name}: only {}/{} traces accepted; first failures: {:?}",
-            stats.accepted,
-            stats.traces,
+            accepted(&checked),
+            checked.len(),
             failing
                 .iter()
                 .take(3)
@@ -50,13 +59,13 @@ fn the_posix_envelope_accepts_every_well_behaved_platform() {
         let profile = configs::by_name(name).unwrap();
         let traces = execute_suite(&profile, &suite, ExecOptions::default());
         let spec = SpecConfig::standard(Flavor::Posix);
-        let (checked, stats) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
+        let checked = check_all(&spec, traces);
         let failing: Vec<_> = checked.iter().filter(|c| !c.accepted).take(3).collect();
         assert!(
-            stats.accepted as f64 >= 0.97 * stats.traces as f64,
+            accepted(&checked) as f64 >= 0.97 * checked.len() as f64,
             "{name} under the POSIX envelope: {}/{} accepted; {:?}",
-            stats.accepted,
-            stats.traces,
+            accepted(&checked),
+            checked.len(),
             failing.iter().map(|c| (&c.name, &c.deviations)).collect::<Vec<_>>()
         );
     }
@@ -67,22 +76,13 @@ fn checking_a_configuration_against_the_wrong_platform_model_finds_differences()
     let suite = test_suite();
     let profile = configs::by_name("linux/ext4").unwrap();
     let traces = execute_suite(&profile, &suite, ExecOptions::default());
-    let (_, native) = check_traces_parallel(
-        &SpecConfig::standard(Flavor::Linux),
-        &traces,
-        CheckOptions::default(),
-        4,
-    );
-    let (_, foreign) = check_traces_parallel(
-        &SpecConfig::standard(Flavor::Mac),
-        &traces,
-        CheckOptions::default(),
-        4,
-    );
+    let native = check_all(&SpecConfig::standard(Flavor::Linux), traces.clone());
+    let foreign = check_all(&SpecConfig::standard(Flavor::Mac), traces);
+    let deviations = |c: &[CheckedTrace]| c.iter().map(|t| t.deviations.len()).sum::<usize>();
     // Platform conventions (EISDIR vs EPERM, pwrite/O_APPEND, symlink modes)
     // make the Linux traces fail under the OS X model far more often.
-    assert!(foreign.accepted < native.accepted);
-    assert!(foreign.deviations > native.deviations);
+    assert!(accepted(&foreign) < accepted(&native));
+    assert!(deviations(&foreign) > deviations(&native));
 }
 
 #[test]
@@ -102,7 +102,7 @@ fn defective_configurations_produce_their_signature_deviations() {
         let profile = configs::by_name(config).unwrap();
         let spec = SpecConfig::standard(profile.platform);
         let traces = execute_suite(&profile, &suite, ExecOptions::default());
-        let (checked, _) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
+        let checked = check_all(&spec, traces);
         let summary = summarize_run(config, profile.platform.name(), &checked);
         assert!(
             summary.by_function.contains_key(*function),
@@ -120,7 +120,7 @@ fn report_merging_identifies_configuration_specific_behaviour() {
         let profile = configs::by_name(name).unwrap();
         let traces = execute_suite(&profile, &suite, ExecOptions::default());
         let spec = SpecConfig::standard(Flavor::Linux);
-        let (checked, _) = check_traces_parallel(&spec, &traces, CheckOptions::default(), 4);
+        let checked = check_all(&spec, traces);
         summaries.push(summarize_run(name, "linux", &checked));
     }
     let merged = merge_runs(summaries);
