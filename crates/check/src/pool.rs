@@ -8,7 +8,7 @@
 //! [`submit`](CheckerPool::submit) instead of buffering traces.
 //!
 //! A `submit` callback runs on a worker thread. It must hand its result off
-//! (e.g. into a session's reply buffer) and must never `submit` to the same
+//! (e.g. into a session's reply channel) and must never `submit` to the same
 //! pool: once the queue is full and every worker waits in `submit`, nothing
 //! is left to drain it.
 

@@ -114,6 +114,23 @@ impl Gauge {
     pub fn high_water(&self) -> i64 {
         self.hwm.load(Relaxed)
     }
+
+    /// Raise the level by one until the returned guard is dropped, so a
+    /// value that carries the guard is counted for exactly as long as it
+    /// lives, on every path that ends it.
+    pub fn hold(&'static self) -> GaugeHold {
+        self.inc();
+        GaugeHold(self)
+    }
+}
+
+/// One unit of a [`Gauge`], released on drop (see [`Gauge::hold`]).
+pub struct GaugeHold(&'static Gauge);
+
+impl Drop for GaugeHold {
+    fn drop(&mut self) {
+        self.0.dec();
+    }
 }
 
 impl Default for Gauge {

@@ -14,22 +14,29 @@
 //! * **Ordered delivery.** [`Pool::ordered`] maps an input iterator through
 //!   the pool and yields results strictly in input order on the caller's
 //!   thread, submitting lazily as it is pulled, so two ordered stages chain
-//!   (execute → check) without an intermediate buffer.
+//!   (execute → check) without an intermediate buffer. Each submitted input
+//!   gets its own one-slot reply channel, and the caller keeps the receivers
+//!   in a FIFO in input order: the next result is whatever the front
+//!   receiver yields. A result that finishes early waits in its own channel
+//!   (counted in the pool's reorder-depth gauge until taken or dropped), and
+//!   a reply that can never arrive panics instead of ending the stream early.
 //! * **Panic isolation.** A panicking job never takes its worker down. An
 //!   unordered job's panic is counted and dropped; an ordered job's panic
-//!   payload is re-raised on the caller's thread when its turn comes, and
-//!   the pool stays usable.
+//!   payload travels through its reply channel and is re-raised on the
+//!   caller's thread when its turn comes, and the pool stays usable.
 //!
 //! A job must never `submit` to its own pool: with every worker blocked in
 //! a full queue's `submit`, nothing would ever drain it.
 
 use std::collections::VecDeque;
+use std::iter::Fuse;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use crate::obs::{self, Counter, Gauge, Histogram};
+use crate::obs::{self, Counter, Gauge, GaugeHold, Histogram};
 
 /// The [`obs::m`] statics one pool reports into. Optional hooks are the
 /// metrics only some pools define.
@@ -138,8 +145,9 @@ impl Pool {
     }
 
     /// Map `items` through `f` on the workers, yielding results in input
-    /// order. Each pull returns the next result if it is done, and otherwise
-    /// submits one more input (blocking while the queue is full) or waits.
+    /// order. Each pull returns the oldest input's result if it is done,
+    /// and otherwise submits one more input (blocking while the queue is
+    /// full) or, once the inputs run out, waits for it.
     /// If `f` panics on an input, the panic resumes on the caller's thread
     /// when that input's turn comes.
     pub fn ordered<I, F, R>(&self, items: I, f: F) -> Ordered<'_, I::IntoIter, F, R>
@@ -149,18 +157,11 @@ impl Pool {
         F: Fn(I::Item) -> R + Send + Sync + 'static,
         R: Send + 'static,
     {
-        let slots = Slots { next: 0, ready: VecDeque::new(), parked: 0, waiting: false };
         Ordered {
             pool: self,
-            items: items.into_iter(),
-            batch: Arc::new(Batch {
-                f,
-                metrics: self.shared.metrics,
-                slots: Mutex::new(slots),
-                done: Condvar::new(),
-            }),
-            submitted: 0,
-            exhausted: false,
+            items: items.into_iter().fuse(),
+            f: Arc::new(f),
+            pending: VecDeque::new(),
         }
     }
 }
@@ -230,59 +231,47 @@ fn count_panic(m: &PoolMetrics) {
     }
 }
 
-/// One ordered run's shared state: the mapped function and the results
-/// that finished ahead of their turn.
-struct Batch<F, R> {
-    f: F,
-    metrics: &'static PoolMetrics,
-    slots: Mutex<Slots<R>>,
-    done: Condvar,
-}
+/// What one ordered job sends back: its result or panic payload, holding
+/// the reorder-depth gauge until the caller takes it.
+type Reply<R> = (thread::Result<R>, Option<GaugeHold>);
 
-struct Slots<R> {
-    /// Index of the next result to deliver, i.e. of `ready[0]`.
-    next: usize,
-    ready: VecDeque<Option<thread::Result<R>>>,
-    /// Filled entries of `ready`.
-    parked: usize,
-    /// The caller is blocked waiting for `ready[0]`.
-    waiting: bool,
-}
-
-impl<F, R> Batch<F, R> {
-    fn put(&self, idx: usize, out: thread::Result<R>) {
-        if out.is_err() {
-            count_panic(self.metrics);
-        }
-        let mut s = lock(&self.slots);
-        let pos = idx - s.next;
-        if s.ready.len() <= pos {
-            s.ready.resize_with(pos + 1, || None);
-        }
-        s.ready[pos] = Some(out);
-        s.parked += 1;
-        self.set_reorder_depth(&s);
-        let wake = s.waiting;
-        drop(s);
-        if wake {
-            self.done.notify_one();
-        }
-    }
-
-    fn set_reorder_depth(&self, s: &Slots<R>) {
-        if let Some(g) = self.metrics.reorder_depth {
-            g.set(s.parked as i64);
-        }
-    }
-}
+const LOST: &str = "an ordered job ended without sending its reply";
 
 /// The iterator returned by [`Pool::ordered`].
 pub struct Ordered<'p, I, F, R> {
     pool: &'p Pool,
-    items: I,
-    batch: Arc<Batch<F, R>>,
-    submitted: usize,
-    exhausted: bool,
+    items: Fuse<I>,
+    f: Arc<F>,
+    /// One reply channel per submitted input, oldest first.
+    pending: VecDeque<Receiver<Reply<R>>>,
+}
+
+impl<I, F, R> Ordered<'_, I, F, R>
+where
+    I: Iterator,
+    I::Item: Send + 'static,
+    F: Fn(I::Item) -> R + Send + Sync + 'static,
+    R: Send + 'static,
+{
+    fn submit(&mut self, item: I::Item) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let (f, m) = (Arc::clone(&self.f), self.pool.shared.metrics);
+        self.pool.submit(move || {
+            let out = panic::catch_unwind(AssertUnwindSafe(|| f(item)));
+            if out.is_err() {
+                count_panic(m);
+            }
+            // The caller may have dropped the iterator; the reply then
+            // drops here, releasing its gauge unit.
+            let _ = tx.send((out, m.reorder_depth.map(Gauge::hold)));
+        });
+        self.pending.push_back(rx);
+    }
+
+    fn deliver(&mut self, (out, _parked): Reply<R>) -> R {
+        self.pending.pop_front();
+        out.unwrap_or_else(|p| panic::resume_unwind(p))
+    }
 }
 
 impl<I, F, R> Iterator for Ordered<'_, I, F, R>
@@ -296,35 +285,18 @@ where
 
     fn next(&mut self) -> Option<R> {
         loop {
-            let mut s = lock(&self.batch.slots);
-            if matches!(s.ready.front(), Some(Some(_))) {
-                s.next += 1;
-                s.parked -= 1;
-                self.batch.set_reorder_depth(&s);
-                let out = s.ready.pop_front().flatten();
-                drop(s);
-                return out.map(|r| r.unwrap_or_else(|p| panic::resume_unwind(p)));
-            }
-            if self.exhausted {
-                if s.next == self.submitted {
-                    return None;
+            if let Some(front) = self.pending.front() {
+                match front.try_recv() {
+                    Ok(reply) => return Some(self.deliver(reply)),
+                    Err(TryRecvError::Disconnected) => panic!("{LOST}"),
+                    Err(TryRecvError::Empty) => {}
                 }
-                s.waiting = true;
-                self.batch.done.wait(s).unwrap_or_else(|e| e.into_inner()).waiting = false;
-                continue;
             }
-            drop(s);
-            let Some(item) = self.items.next() else {
-                self.exhausted = true;
-                continue;
-            };
-            let (idx, batch) = (self.submitted, Arc::clone(&self.batch));
-            self.submitted += 1;
-            self.pool.submit(move || {
-                let out = panic::catch_unwind(AssertUnwindSafe(|| (batch.f)(item)));
-                batch.put(idx, out);
-            });
+            let Some(item) = self.items.next() else { break };
+            self.submit(item);
         }
+        let reply = self.pending.front()?.recv().unwrap_or_else(|_| panic!("{LOST}"));
+        Some(self.deliver(reply))
     }
 }
 
@@ -355,6 +327,19 @@ mod tests {
         wait_ns: None,
         run_ns: None,
         reorder_depth: None,
+    };
+
+    static DEPTH: Gauge = Gauge::new();
+    static DEPTH_METRICS: PoolMetrics = PoolMetrics {
+        span: ("test", "pool_job"),
+        workers: &WORKERS,
+        queue_depth: &QUEUED,
+        busy_ns: &BUSY,
+        jobs: None,
+        panicked: None,
+        wait_ns: None,
+        run_ns: None,
+        reorder_depth: Some(&DEPTH),
     };
 
     /// Run `body` on its own thread and fail, rather than hang, if it does
@@ -424,6 +409,57 @@ mod tests {
             drop(pool); // drains the queue, then joins
             assert_eq!(ran.load(Ordering::SeqCst), 5);
             assert!(PANICKED.get() > panicked0);
+        });
+    }
+
+    /// The reorder-depth gauge is one process-wide level: every ordered run
+    /// adds the results it has parked, so concurrent runs show their sum,
+    /// and the level falls back to zero however the runs end.
+    #[test]
+    fn reorder_depth_sums_concurrent_runs_and_returns_to_zero() {
+        watchdog(|| {
+            // Two workers sit on the two held head jobs; the third finishes
+            // every later input, which must then park behind its head.
+            let pool = Pool::new("test-pool", 3, &DEPTH_METRICS);
+            let later = 2;
+            thread::scope(|s| {
+                let mut releases = Vec::new();
+                for _ in 0..2 {
+                    let (release, held) = mpsc::channel::<()>();
+                    let held = Mutex::new(held);
+                    let f = move |i: usize| {
+                        if i == 0 {
+                            lock(&held).recv().expect("released");
+                        }
+                        i
+                    };
+                    let pool = &pool;
+                    s.spawn(move || {
+                        let out: Vec<usize> = pool.ordered(0..=later, f).collect();
+                        assert_eq!(out, (0..=later).collect::<Vec<_>>());
+                    });
+                    releases.push(release);
+                }
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while DEPTH.get() != 2 * later as i64 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "reorder depth {} while two runs each park {later} results",
+                        DEPTH.get()
+                    );
+                    thread::yield_now();
+                }
+                for release in releases {
+                    release.send(()).expect("head job is waiting");
+                }
+            });
+            assert_eq!(DEPTH.get(), 0, "every parked result was delivered");
+
+            // A run dropped mid-stream releases what it had parked, and jobs
+            // still in flight release theirs when their reply finds no one.
+            assert_eq!(pool.ordered(0..16usize, |i| i).next(), Some(0));
+            drop(pool);
+            assert_eq!(DEPTH.get(), 0, "an abandoned run leaves nothing counted");
         });
     }
 }

@@ -11,7 +11,7 @@
 //! the worker count, so a fast producer cannot buffer an unbounded suite in
 //! memory, and [`execute_stream`](ExecPipeline::execute_stream) yields traces
 //! strictly in input order while later scripts are still executing (early
-//! finishers park in the pool's reorder buffer, visible as the
+//! finishers wait in their own reply channels, counted in the
 //! `sibylfs_exec_pipe_reorder_depth` gauge). This is what lets the CLI hand
 //! trace `i` to the checker pool while scripts `i+1..` are still running,
 //! with results byte-identical to the sequential path. An executor panic

@@ -47,7 +47,7 @@ use sibylfs_check::{check_trace_with_coverage, CheckOptions, CheckedTrace, Devia
 use sibylfs_core::coverage::{CoverageKey, CoverageMap};
 use sibylfs_core::flavor::{Flavor, SpecConfig};
 use sibylfs_core::obs;
-use sibylfs_exec::{ExecError, ExecOptions, ExecPipeline, Executor, SimExecutor};
+use sibylfs_exec::{ExecError, ExecOptions, Executor, SimExecutor};
 use sibylfs_fsimpl::configs;
 use sibylfs_report::render_coverage_map_markdown;
 use sibylfs_script::Script;
@@ -58,11 +58,6 @@ use sibylfs_testgen::{generate_suite, SuiteOptions};
 use corpus::{Corpus, CorpusEntry, EntryKind, Provenance};
 use mutate::Mutator;
 use shrink::shrink;
-
-/// How many mutants each worker generates per round before executing them
-/// all through the shared execution pipeline, which keeps the pipeline (and,
-/// in differential mode, the pooled host workers) busy.
-const BATCH: usize = 8;
 
 /// Which executor(s) the exploration loop drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,18 +331,6 @@ struct Shared {
     stop: AtomicBool,
 }
 
-/// The executors every explore worker shares: one simulator (and, in
-/// differential mode, one pooled host backend), each fronted by an
-/// [`ExecPipeline`] so a worker's whole mutant batch executes concurrently.
-struct ExecCtx<'a> {
-    sim: &'a SimExecutor,
-    pipe_sim: &'a ExecPipeline,
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    host: Option<&'a sibylfs_exec::HostFs>,
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    pipe_host: Option<&'a ExecPipeline>,
-}
-
 /// Run the exploration loop.
 pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
     let profile = configs::by_name(&opts.config)
@@ -421,27 +404,11 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
         (_, tb) => tb,
     };
 
-    // One executor pair for the whole run: all workers feed the same
-    // pipelines, so mutant batches from different workers interleave over the
-    // executor threads (and the persistent host jails) instead of each worker
-    // paying its own setup.
-    let sim_arc = std::sync::Arc::new(sim);
-    let pipe_sim = ExecPipeline::new(sim_arc.clone(), opts.workers.max(1));
+    // One pooled host backend for the whole run: its persistent jails are
+    // shared by every worker.
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    let host_arc = (opts.backend == Backend::Host)
-        .then(|| std::sync::Arc::new(sibylfs_exec::HostFs::pooled(opts.workers.max(1))));
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    let pipe_host = host_arc
-        .clone()
-        .map(|h| ExecPipeline::new(h as std::sync::Arc<dyn Executor + Send + Sync>, opts.workers.max(1)));
-    let ctx = ExecCtx {
-        sim: &sim_arc,
-        pipe_sim: &pipe_sim,
-        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        host: host_arc.as_deref(),
-        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        pipe_host: pipe_host.as_ref(),
-    };
+    let host = (opts.backend == Backend::Host)
+        .then(|| sibylfs_exec::HostFs::pooled(opts.workers.max(1)));
     let start = Instant::now();
 
     std::thread::scope(|scope| {
@@ -450,9 +417,22 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
             let mutator = &mutator;
             let cfg = &cfg;
             let opts_ref = opts;
-            let ctx = &ctx;
+            let sim = &sim;
+            #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+            let host = host.as_ref();
             scope.spawn(move || {
-                worker_loop(w, opts_ref, ctx, cfg, mutator, shared, start, budget);
+                worker_loop(
+                    w,
+                    opts_ref,
+                    sim,
+                    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+                    host,
+                    cfg,
+                    mutator,
+                    shared,
+                    start,
+                    budget,
+                );
                 shared.active_workers.fetch_sub(1, Ordering::SeqCst);
             });
         }
@@ -499,206 +479,151 @@ pub fn explore(opts: &ExploreOptions) -> Result<ExploreOutcome, ExploreError> {
     })
 }
 
-/// One mutant planned for batch execution.
-struct Planned {
-    child: Script,
-    provenance: Provenance,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     worker: usize,
     opts: &ExploreOptions,
-    ctx: &ExecCtx<'_>,
+    sim: &SimExecutor,
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    host: Option<&sibylfs_exec::HostFs>,
     cfg: &SpecConfig,
     mutator: &Mutator,
     shared: &Shared,
     start: Instant,
     budget: Option<Duration>,
 ) {
-    let sim = ctx.sim;
     let worker_seed = split_seed(opts.seed, worker as u64);
-    let mut iter: u64 = 0;
 
-    loop {
-        // --- Plan a batch of mutants (seed chain identical to the old
-        // one-at-a-time loop: worker w, iteration i still owns
-        // split_seed(split_seed(seed, w), i)). --------------------------
-        let mut planned: Vec<Planned> = Vec::with_capacity(BATCH);
-        while planned.len() < BATCH {
-            if shared.stop.load(Ordering::Relaxed) {
+    for iter in 0u64.. {
+        if shared.stop.load(Ordering::Relaxed) {
+            break;
+        }
+        if let Some(b) = budget {
+            if start.elapsed() >= b {
+                shared.stop.store(true, Ordering::Relaxed);
                 break;
             }
-            if let Some(b) = budget {
-                if start.elapsed() >= b {
-                    shared.stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            if let Some(max) = opts.iterations {
-                if shared.iterations.fetch_add(1, Ordering::SeqCst) >= max {
-                    shared.iterations.fetch_sub(1, Ordering::SeqCst);
-                    shared.stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            } else {
-                shared.iterations.fetch_add(1, Ordering::SeqCst);
-            }
-            obs::m::EXPLORE_ITERATIONS_TOTAL.inc();
-
-            let derived = split_seed(worker_seed, iter);
-            let provenance =
-                Provenance { base_seed: opts.seed, worker, iter, derived_seed: derived };
-            iter += 1;
-            let mut rng = StdRng::seed_from_u64(derived);
-            let parent = {
-                let corpus = shared.corpus.lock();
-                corpus
-                    .pick(&mut rng)
-                    .expect("the corpus is seeded before workers start")
-                    .script
-                    .clone()
-            };
-            let name = format!("explore___w{worker}_i{:05}_s{derived:016x}", provenance.iter);
-            let child = mutator.mutate(&parent, &mut rng, name);
-
-            // Static pre-exec filter: drop statically-doomed steps whose every
-            // predicted coverage key is already reached globally; skip children
-            // with no calls left. Steps predicting a *novel* key are kept, so
-            // the filter can only save executions, never coverage.
-            let repair = {
-                let global = shared.global.lock();
-                sibylfs_analyze::repair_for_explore(&child, &global)
-            };
-            let child = match repair {
-                sibylfs_analyze::RepairOutcome::Clean => child,
-                sibylfs_analyze::RepairOutcome::Repaired(repaired, _dropped) => {
-                    shared.lint_repaired.fetch_add(1, Ordering::Relaxed);
-                    obs::m::EXPLORE_LINT_REPAIRED_TOTAL.inc();
-                    repaired
-                }
-                sibylfs_analyze::RepairOutcome::Rejected => {
-                    shared.lint_rejected.fetch_add(1, Ordering::Relaxed);
-                    obs::m::EXPLORE_LINT_REJECTED_TOTAL.inc();
-                    continue;
-                }
-            };
-            planned.push(Planned { child, provenance });
         }
-        if planned.is_empty() {
-            break; // stopped (or budget hit) with nothing left to evaluate
+        if let Some(max) = opts.iterations {
+            if shared.iterations.fetch_add(1, Ordering::SeqCst) >= max {
+                shared.iterations.fetch_sub(1, Ordering::SeqCst);
+                shared.stop.store(true, Ordering::Relaxed);
+                break;
+            }
+        } else {
+            shared.iterations.fetch_add(1, Ordering::SeqCst);
         }
+        obs::m::EXPLORE_ITERATIONS_TOTAL.inc();
+        let _span = obs::span("explore", "explore_iter");
 
-        // --- Execute the whole batch through the shared pipeline(s):
-        // this worker's mutants run concurrently over the executor threads
-        // (and, in differential mode, the persistent host jails), and
-        // interleave with every other worker's batches. ------------------
-        let scripts: Vec<Script> = planned.iter().map(|p| p.child.clone()).collect();
-        let sim_traces = ctx.pipe_sim.execute_batch(&scripts, ExecOptions::default());
+        // Worker w, iteration i owns split_seed(split_seed(seed, w), i).
+        let derived = split_seed(worker_seed, iter);
+        let provenance = Provenance { base_seed: opts.seed, worker, iter, derived_seed: derived };
+        let mut rng = StdRng::seed_from_u64(derived);
+        let parent = {
+            let corpus = shared.corpus.lock();
+            corpus
+                .pick(&mut rng)
+                .expect("the corpus is seeded before workers start")
+                .script
+                .clone()
+        };
+        let name = format!("explore___w{worker}_i{iter:05}_s{derived:016x}");
+        let child = mutator.mutate(&parent, &mut rng, name);
+
+        // Static pre-exec filter: drop statically-doomed steps whose every
+        // predicted coverage key is already reached globally; skip children
+        // with no calls left. Steps predicting a *novel* key are kept, so
+        // the filter can only save executions, never coverage.
+        let repair = {
+            let global = shared.global.lock();
+            sibylfs_analyze::repair_for_explore(&child, &global)
+        };
+        let child = match repair {
+            sibylfs_analyze::RepairOutcome::Clean => child,
+            sibylfs_analyze::RepairOutcome::Repaired(repaired, _dropped) => {
+                shared.lint_repaired.fetch_add(1, Ordering::Relaxed);
+                obs::m::EXPLORE_LINT_REPAIRED_TOTAL.inc();
+                repaired
+            }
+            sibylfs_analyze::RepairOutcome::Rejected => {
+                shared.lint_rejected.fetch_add(1, Ordering::Relaxed);
+                obs::m::EXPLORE_LINT_REJECTED_TOTAL.inc();
+                continue;
+            }
+        };
+
+        let Ok(eval) = evaluate(sim, cfg, &child) else {
+            shared.exec_errors.fetch_add(1, Ordering::Relaxed);
+            obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
+            continue;
+        };
+
+        // Differential mode: compare the sim verdict with the host verdict.
         #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        let host_traces: Vec<Option<Result<sibylfs_script::Trace, ExecError>>> =
-            match ctx.pipe_host {
-                Some(pipe) => pipe
-                    .execute_batch(&scripts, ExecOptions::default())
-                    .into_iter()
-                    .map(Some)
-                    .collect(),
-                None => planned.iter().map(|_| None).collect(),
-            };
-        #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-        let host_traces: Vec<Option<Result<sibylfs_script::Trace, ExecError>>> =
-            planned.iter().map(|_| None).collect();
-
-        // --- Process results in claim order (novelty, divergences, and
-        // shrinking are deterministic per mutant given the shared state). --
-        for ((p, sim_res), host_res) in
-            planned.into_iter().zip(sim_traces).zip(host_traces)
-        {
-            let _span = obs::span("explore", "explore_iter");
-            let Planned { child, provenance } = p;
-            let trace = match sim_res {
-                Ok(t) => t,
+        if let Some(host) = host {
+            match evaluate(host, cfg, &child) {
+                Ok(host_eval) => {
+                    if verdict_mismatch(&eval, &host_eval) {
+                        handle_divergence(
+                            sim, host, cfg, &child, &eval, &host_eval, provenance, opts, shared,
+                        );
+                    }
+                }
                 Err(_) => {
                     shared.exec_errors.fetch_add(1, Ordering::Relaxed);
                     obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
-                    continue;
-                }
-            };
-            let (checked, cov) = check_trace_with_coverage(cfg, &trace, CheckOptions::default());
-            let eval = Eval { checked, cov };
-
-            // Differential mode: compare the sim verdict with the host verdict.
-            #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-            if let (Some(host), Some(host_res)) = (ctx.host, host_res) {
-                match host_res {
-                    Ok(host_trace) => {
-                        let (hchecked, hcov) =
-                            check_trace_with_coverage(cfg, &host_trace, CheckOptions::default());
-                        let host_eval = Eval { checked: hchecked, cov: hcov };
-                        if verdict_mismatch(&eval, &host_eval) {
-                            handle_divergence(
-                                sim, host, cfg, &child, &eval, &host_eval, provenance, opts,
-                                shared,
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        shared.exec_errors.fetch_add(1, Ordering::Relaxed);
-                        obs::m::EXPLORE_EXEC_ERRORS_TOTAL.inc();
-                    }
                 }
             }
-            #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-            let _ = host_res;
-
-            // Sim-only mode: a deviation means the simulation left the model's
-            // envelope — itself a distinguishing finding.
-            if opts.backend == Backend::Sim && !eval.checked.accepted {
-                handle_sim_deviation(sim, cfg, &child, &eval, provenance, opts, shared);
-            }
-
-            // Coverage feedback: does the child reach anything new?
-            let novel0 = {
-                let global = shared.global.lock();
-                eval.cov.novel_versus(&global)
-            };
-            if novel0.is_empty() {
-                continue;
-            }
-            // Minimize while preserving every novel key, outside all locks.
-            let target: CoverageMap = {
-                let mut m = CoverageMap::new();
-                for k in &novel0 {
-                    m.insert(k.clone());
-                }
-                m
-            };
-            let minimized = shrink(&child, |cand| {
-                evaluate(sim, cfg, cand)
-                    .map(|e| target.novel_versus(&e.cov).is_empty())
-                    .unwrap_or(false)
-            });
-            let Ok(min_eval) = evaluate(sim, cfg, &minimized) else { continue };
-            let (new_keys, added) = {
-                let mut global = shared.global.lock();
-                let new_keys = min_eval.cov.novel_versus(&global);
-                let added = global.merge(&min_eval.cov);
-                (new_keys, added)
-            };
-            if added == 0 {
-                continue; // another worker got there first
-            }
-            let entry = CorpusEntry {
-                script: minimized,
-                kind: EntryKind::Coverage,
-                provenance: Some(provenance),
-                novel: new_keys,
-                accepted: min_eval.checked.accepted,
-            };
-            save_entry(entry, opts, shared);
-            shared.novel_entries.fetch_add(1, Ordering::Relaxed);
-            obs::m::EXPLORE_NOVEL_TOTAL.inc();
         }
+
+        // Sim-only mode: a deviation means the simulation left the model's
+        // envelope — itself a distinguishing finding.
+        if opts.backend == Backend::Sim && !eval.checked.accepted {
+            handle_sim_deviation(sim, cfg, &child, &eval, provenance, opts, shared);
+        }
+
+        // Coverage feedback: does the child reach anything new?
+        let novel0 = {
+            let global = shared.global.lock();
+            eval.cov.novel_versus(&global)
+        };
+        if novel0.is_empty() {
+            continue;
+        }
+        // Minimize while preserving every novel key, outside all locks.
+        let target: CoverageMap = {
+            let mut m = CoverageMap::new();
+            for k in &novel0 {
+                m.insert(k.clone());
+            }
+            m
+        };
+        let minimized = shrink(&child, |cand| {
+            evaluate(sim, cfg, cand)
+                .map(|e| target.novel_versus(&e.cov).is_empty())
+                .unwrap_or(false)
+        });
+        let Ok(min_eval) = evaluate(sim, cfg, &minimized) else { continue };
+        let (new_keys, added) = {
+            let mut global = shared.global.lock();
+            let new_keys = min_eval.cov.novel_versus(&global);
+            let added = global.merge(&min_eval.cov);
+            (new_keys, added)
+        };
+        if added == 0 {
+            continue; // another worker got there first
+        }
+        let entry = CorpusEntry {
+            script: minimized,
+            kind: EntryKind::Coverage,
+            provenance: Some(provenance),
+            novel: new_keys,
+            accepted: min_eval.checked.accepted,
+        };
+        save_entry(entry, opts, shared);
+        shared.novel_entries.fetch_add(1, Ordering::Relaxed);
+        obs::m::EXPLORE_NOVEL_TOTAL.inc();
     }
 }
 

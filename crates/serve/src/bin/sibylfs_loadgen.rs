@@ -44,7 +44,7 @@ options:
   -h, --help         show this help
 
 After each sweep step the server's metrics snapshot is scraped; pool
-utilization and the reorder-buffer high-water mark are embedded in the
+utilization and the reorder-depth high-water mark are embedded in the
 SIBYLFS_BENCH_JSON records.
 ";
 

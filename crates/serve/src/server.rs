@@ -5,16 +5,24 @@
 //! batched across clients: a single client's burst fans out over every pool
 //! worker, and many idle sessions cost no checker threads at all.
 //!
-//! Sessions are pipelined: the reader assigns each request a sequence number
-//! and submits it, completions land in a per-session reorder buffer, and the
-//! writer drains the buffer strictly in sequence order. In-flight requests
-//! per session are bounded (`max_inflight_per_session`); at the bound the
-//! reader simply stops reading, which turns into TCP backpressure on the
-//! client rather than unbounded queue growth on the server. The pool's own
+//! Sessions are pipelined, and replies leave in request order through a FIFO
+//! of per-request reply channels. For each request the reader makes a
+//! one-slot reply channel and queues its receiver on the session's queue
+//! *before* doing any work; whoever produces the reply (the reader itself
+//! for errors and stats, a pool worker for a check) sends it into that
+//! channel, and the writer takes receivers off the queue in order and waits
+//! on each in turn. Backpressure is the queue's capacity: it holds
+//! `max_inflight_per_session - 1` receivers and the writer holds one more,
+//! so at `max_inflight_per_session` unwritten replies the reader blocks
+//! queueing the next one, stops reading, and the client meets TCP
+//! backpressure rather than the server growing a buffer. The pool's own
 //! queue is bounded as well: a reader that finds it full waits in `submit`
-//! (again backpressure on its client). The reader holds no session lock
-//! while submitting, and pool callbacks only insert into the reply buffer,
-//! so that wait cannot deadlock.
+//! (again backpressure on its client). Workers only ever send into a
+//! one-slot channel nobody else fills, so they never block on a session.
+//! When the client goes away the writer stops, and everything still queued
+//! drops with it: a late reply is discarded where it is sent. A check that
+//! panics never answers; the writer then ends the session rather than
+//! answer the requests behind it out of order.
 //!
 //! Robustness rules a long-lived process needs, each pinned by a test:
 //! - malformed request payloads get an in-order `Error` response; the session
@@ -27,17 +35,17 @@
 //!   for traces already admitted still completes) — a hostile client can then
 //!   only degrade service, not OOM the process.
 
-use std::collections::BTreeMap;
 use std::io::{self, BufReader, BufWriter, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sibylfs_check::{render_checked_trace, CheckOptions, CheckerPool};
 use sibylfs_core::intern;
-use sibylfs_core::obs;
+use sibylfs_core::obs::{self, GaugeHold};
 use sibylfs_script::parse_trace;
 
 use crate::protocol::{
@@ -298,38 +306,26 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Per-session reply reorder buffer shared by the reader (producer via pool
-/// callbacks) and the writer (consumer, strictly in sequence order).
-struct ReplyState {
-    /// Sequence number the next accepted request will get.
-    assigned: u64,
-    /// Sequence number the writer will send next.
-    written: u64,
-    /// Completed responses waiting for their turn, keyed by sequence.
-    ready: BTreeMap<u64, Vec<u8>>,
-    /// The reader is done (EOF or fatal framing error); the writer exits
-    /// once everything assigned has been written.
-    closed: bool,
+/// A reply on its way to the writer, holding `sibylfs_serve_reorder_depth`
+/// until the writer takes it.
+type Reply = (Vec<u8>, GaugeHold);
+
+/// One accepted request's reply slot. The request counts in
+/// `sibylfs_serve_inflight` until it is answered (or abandoned, if its check
+/// panics).
+struct Pending {
+    tx: SyncSender<Reply>,
+    inflight: GaugeHold,
 }
 
-struct Session {
-    state: Mutex<ReplyState>,
-    progress: Condvar,
-}
-
-impl Session {
-    fn lock(&self) -> MutexGuard<'_, ReplyState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn complete(&self, seq: u64, resp: &Response) {
+impl Pending {
+    fn answer(self, resp: &Response) {
         let payload = encode_response(resp);
-        let mut st = self.lock();
-        st.ready.insert(seq, payload);
-        obs::m::SERVE_REORDER_DEPTH.set(st.ready.len() as i64);
-        drop(st);
-        obs::m::SERVE_INFLIGHT.dec();
-        self.progress.notify_all();
+        // Leave the in-flight count before the writer can see the reply and
+        // free the slot the next request takes.
+        drop(self.inflight);
+        // The writer is gone only if its client is; the reply drops unsent.
+        let _ = self.tx.send((payload, obs::m::SERVE_REORDER_DEPTH.hold()));
     }
 }
 
@@ -352,69 +348,36 @@ fn run_session(stream: TcpStream, shared: &Arc<Shared>) {
     let _gauge = SessionGauge(shared);
 
     let Ok(write_stream) = stream.try_clone() else { return };
-    let session = Arc::new(Session {
-        state: Mutex::new(ReplyState {
-            assigned: 0,
-            written: 0,
-            ready: BTreeMap::new(),
-            closed: false,
-        }),
-        progress: Condvar::new(),
-    });
-
-    let writer_session = Arc::clone(&session);
+    // The writer holds one receiver while it waits on it, so the queue
+    // takes one fewer than the in-flight bound (a rendezvous at bound 1).
+    let (queue, queued) = mpsc::sync_channel(shared.opts.max_inflight_per_session.max(1) - 1);
     let writer = std::thread::Builder::new()
         .name("sibylfs-session-writer".to_string())
-        .spawn(move || writer_loop(write_stream, &writer_session));
-
-    reader_loop(stream, shared, &session);
-
-    let mut st = session.lock();
-    st.closed = true;
-    drop(st);
-    session.progress.notify_all();
+        .spawn(move || writer_loop(write_stream, queued));
+    // Dropping the queue when the reader returns ends the writer once every
+    // queued reply is written.
+    reader_loop(stream, shared, queue);
     if let Ok(w) = writer {
         let _ = w.join();
     }
 }
 
-fn writer_loop(stream: TcpStream, session: &Session) {
+fn writer_loop(stream: TcpStream, queued: Receiver<Receiver<Reply>>) {
     let mut out = BufWriter::new(stream);
-    loop {
-        let payload = {
-            let mut st = session.lock();
-            loop {
-                let next = st.written;
-                if let Some(p) = st.ready.remove(&next) {
-                    st.written += 1;
-                    break p;
-                }
-                if st.closed && st.written == st.assigned {
-                    return;
-                }
-                st = session.progress.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        session.progress.notify_all(); // free a backpressure slot
+    for reply in queued {
+        // A reply goes missing only if its check panicked: end the session
+        // rather than answer out of order.
+        let Ok((payload, _parked)) = reply.recv() else { break };
         obs::m::SERVE_BYTES_OUT_TOTAL.add(4 + payload.len() as u64);
         if write_frame(&mut out, &payload).and_then(|()| out.flush()).is_err() {
-            // The client went away mid-reply; drain silently so the reader's
-            // in-flight checks still complete and the session can unwind.
-            let mut st = session.lock();
-            st.written = st.assigned;
-            st.ready.clear();
-            let closed = st.closed;
-            drop(st);
-            // Free any reader blocked on a backpressure slot.
-            session.progress.notify_all();
-            if closed {
-                return;
-            }
+            break; // the client went away mid-reply
         }
     }
+    // Unblock the reader if it is still waiting on this client.
+    let _ = out.get_ref().shutdown(Shutdown::Both);
 }
 
-fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, session: &Arc<Session>) {
+fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, queue: SyncSender<Receiver<Reply>>) {
     let mut input = BufReader::new(stream);
     loop {
         let frame = match read_frame(&mut input) {
@@ -427,19 +390,13 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, session: &Arc<Session>) 
         obs::m::SERVE_BYTES_IN_TOTAL.add(4 + frame.len() as u64);
         obs::m::SERVE_REQUESTS_TOTAL.inc();
 
-        // Backpressure: wait for an in-flight slot before accepting work.
-        let seq = {
-            let mut st = session.lock();
-            while (st.assigned - st.written) as usize
-                >= shared.opts.max_inflight_per_session.max(1)
-            {
-                st = session.progress.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            let seq = st.assigned;
-            st.assigned += 1;
-            seq
-        };
-        obs::m::SERVE_INFLIGHT.inc();
+        // Backpressure: queueing the reply's receiver blocks while
+        // `max_inflight_per_session` replies are unwritten.
+        let (tx, rx) = mpsc::sync_channel(1);
+        if queue.send(rx).is_err() {
+            return; // the writer is gone
+        }
+        let reply = Pending { tx, inflight: obs::m::SERVE_INFLIGHT.hold() };
 
         match decode_request(&frame) {
             Err(e @ ProtocolError::BadTag(_)) | Err(e @ ProtocolError::Malformed(_)) => {
@@ -448,33 +405,25 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, session: &Arc<Session>) 
                 shared.errors_total.fetch_add(1, Ordering::Relaxed);
                 obs::m::SERVE_ERRORS_TOTAL.inc();
                 obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-                session.complete(seq, &Response::Error {
-                    line: 0,
-                    col: 0,
-                    message: e.to_string(),
-                });
+                reply.answer(&Response::Error { line: 0, col: 0, message: e.to_string() });
             }
             Err(e) => {
                 shared.errors_total.fetch_add(1, Ordering::Relaxed);
                 obs::m::SERVE_ERRORS_TOTAL.inc();
                 obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-                session.complete(seq, &Response::Error {
-                    line: 0,
-                    col: 0,
-                    message: e.to_string(),
-                });
+                reply.answer(&Response::Error { line: 0, col: 0, message: e.to_string() });
                 return;
             }
             Ok(Request::Stats) => {
                 obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-                session.complete(seq, &Response::StatsLine(shared.stats_line()));
+                reply.answer(&Response::StatsLine(shared.stats_line()));
             }
             Ok(Request::Metrics) => {
                 obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-                session.complete(seq, &Response::Metrics(obs::snapshot().render()));
+                reply.answer(&Response::Metrics(obs::snapshot().render()));
             }
             Ok(Request::Check { config, trace_text }) => {
-                handle_check(shared, session, seq, started, &config, &trace_text);
+                handle_check(shared, reply, started, &config, &trace_text);
             }
         }
     }
@@ -482,27 +431,27 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, session: &Arc<Session>) 
 
 fn handle_check(
     shared: &Arc<Shared>,
-    session: &Arc<Session>,
-    seq: u64,
+    reply: Pending,
     started: Instant,
     config: &str,
     trace_text: &str,
 ) {
-    let reject = |message: String, line: u32, col: u32| {
+    let reject = |reply: Pending, message: String, line: u32, col: u32| {
         shared.errors_total.fetch_add(1, Ordering::Relaxed);
         obs::m::SERVE_ERRORS_TOTAL.inc();
         obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-        session.complete(seq, &Response::Error { line, col, message });
+        reply.answer(&Response::Error { line, col, message });
     };
 
     let cfg = match parse_spec_config(config) {
         Ok(cfg) => cfg,
-        Err(e) => return reject(format!("bad config: {e}"), 0, 0),
+        Err(e) => return reject(reply, format!("bad config: {e}"), 0, 0),
     };
     // Order matters: name-length and interner-budget gates run before
     // parse_trace, because parsing is what interns path components.
     if let Some(len) = oversized_name_len(trace_text, shared.opts.max_name_len) {
         return reject(
+            reply,
             format!(
                 "name of {len} bytes exceeds the {}-byte limit",
                 shared.opts.max_name_len
@@ -513,6 +462,7 @@ fn handle_check(
     }
     if shared.intern_budget_exceeded() {
         return reject(
+            reply,
             "interner budget exceeded; the server is refusing new names".to_string(),
             0,
             0,
@@ -522,6 +472,7 @@ fn handle_check(
         Ok(t) => t,
         Err(e) => {
             return reject(
+                reply,
                 e.message.clone(),
                 u32::try_from(e.line).unwrap_or(u32::MAX),
                 u32::try_from(e.col).unwrap_or(u32::MAX),
@@ -530,10 +481,9 @@ fn handle_check(
     };
 
     let done_shared = Arc::clone(shared);
-    let done_session = Arc::clone(session);
     shared.pool.submit(cfg, trace, shared.opts.check, move |checked| {
         done_shared.checked_total.fetch_add(1, Ordering::Relaxed);
         obs::m::SERVE_REQUEST_NS.record_duration(started.elapsed());
-        done_session.complete(seq, &Response::Verdict(render_checked_trace(&checked)));
+        reply.answer(&Response::Verdict(render_checked_trace(&checked)));
     });
 }
