@@ -1,9 +1,12 @@
 //! Benchmark: checker internals — the cost of the building blocks whose
 //! design §3 and §5 discuss (path resolution, per-command dispatch, the
-//! τ-closure used for concurrent calls, and readdir's must/may machinery).
+//! τ-closure used for concurrent calls, and readdir's must/may machinery),
+//! and how checking cost grows with trace length when descriptors pile up.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use sibylfs_bench::{bench_profile, bench_spec};
+use sibylfs_check::{check_trace, CheckOptions};
 use sibylfs_core::commands::{OsCommand, OsLabel};
 use sibylfs_core::flags::FileMode;
 use sibylfs_core::flavor::{Flavor, PorMode, SpecConfig};
@@ -13,6 +16,9 @@ use sibylfs_core::os::trans::{expand_calls, os_trans, tau_closure};
 use sibylfs_core::os::OsState;
 use sibylfs_core::path::{resolve, FollowLast, ResolveCtx};
 use sibylfs_core::types::{Gid, Pid, Uid, INITIAL_PID};
+use sibylfs_exec::{execute_script, ExecOptions};
+use sibylfs_script::{Script, ScriptStep, Trace};
+use sibylfs_testgen::{generate_suite, SuiteOptions};
 
 /// A model state with a moderately deep directory tree and some symlinks.
 fn populated_state(cfg: &SpecConfig) -> OsState {
@@ -128,5 +134,51 @@ fn checker_internals(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, checker_internals);
+/// A single-process trace of at least `calls` calls that never closes a
+/// descriptor: the quick suite's scripts that only make calls from the
+/// initial process and close nothing, concatenated in suite order (cycling)
+/// and executed on the reference configuration. Every open descriptor stays
+/// open to the end, so the model's descriptor tables grow with the trace.
+fn long_trace(suite: &[Script], calls: usize) -> Trace {
+    let material = suite.iter().filter(|s| {
+        s.steps.iter().all(|st| match st {
+            ScriptStep::Call { pid, cmd } => {
+                *pid == INITIAL_PID && !matches!(cmd, OsCommand::Close(_) | OsCommand::Closedir(_))
+            }
+            _ => false,
+        })
+    });
+    let mut script = Script::new(format!("long_trace_{calls}"), "long_trace");
+    for part in material.cycle() {
+        if script.call_count() >= calls {
+            break;
+        }
+        script.steps.extend(part.steps.iter().cloned());
+    }
+    execute_script(&bench_profile(), &script, ExecOptions::default())
+}
+
+/// Checking cost against trace length. With per-step cost independent of
+/// the number of open descriptors the time per call stays flat from 1k to
+/// 16k calls; a relapse to state clones or fingerprints that copy or walk the
+/// descriptor tables makes it grow linearly, which the perf-trend gate
+/// catches on the 4k and 16k rows.
+fn long_traces(c: &mut Criterion) {
+    let cfg = bench_spec();
+    let suite = generate_suite(SuiteOptions::quick());
+    let mut group = c.benchmark_group("long_trace");
+    group.sample_size(10);
+    for calls in [1_000usize, 4_000, 16_000] {
+        let trace = long_trace(&suite, calls);
+        let checked = check_trace(&cfg, &trace, CheckOptions::default());
+        assert!(checked.accepted, "{} deviates: {:?}", trace.name, checked.deviations);
+        group.throughput(Throughput::Elements(calls as u64));
+        group.bench_with_input(BenchmarkId::new("calls", calls), &trace, |b, trace| {
+            b.iter(|| check_trace(&cfg, trace, CheckOptions::default()).steps.len())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, checker_internals, long_traces);
 criterion_main!(benches);

@@ -197,7 +197,7 @@ mod tests {
         // Remove "a" and create "b" while the handle is open.
         let st = ok(&run(&cfg, &st, OsCommand::Rmdir("/d/a".into())));
         let st = ok(&run(&cfg, &st, OsCommand::Mkdir("/d/b".into(), FileMode::new(0o777))));
-        let dh = &st.proc(INITIAL_PID).unwrap().dir_handles[&DirHandleId(1)];
+        let dh = st.proc(INITIAL_PID).unwrap().dir_handles.get(&DirHandleId(1)).unwrap();
         assert!(dh.must.is_empty());
         assert!(dh.may.contains(&"a".into()));
         assert!(dh.may.contains(&"b".into()));
@@ -213,7 +213,7 @@ mod tests {
         let st = bind_dh(&out, 1);
         let st = ok(&run(&cfg, &st, OsCommand::Mkdir("/d/b".into(), FileMode::new(0o777))));
         let st = ok(&run(&cfg, &st, OsCommand::Rewinddir(DirHandleId(1))));
-        let dh = &st.proc(INITIAL_PID).unwrap().dir_handles[&DirHandleId(1)];
+        let dh = st.proc(INITIAL_PID).unwrap().dir_handles.get(&DirHandleId(1)).unwrap();
         assert_eq!(dh.must.len(), 2);
         assert!(dh.may.is_empty());
         assert!(dh.returned.is_empty());

@@ -93,8 +93,7 @@ pub fn spec_open(
             }
             spec_point("open/directory_read_only_success");
             let mut new_st = ctx.st.clone();
-            let fid = new_st.fresh_fid();
-            new_st.fids.insert(fid, FidState { target: FidTarget::Dir(dref), offset: 0, flags });
+            let fid = new_st.new_fid(FidState { target: FidTarget::Dir(dref), offset: 0, flags });
             CmdOutcome::from_checks(checks).with_success(new_st, Pending::NewFd { fid })
         }
         ResName::File { fref, is_symlink, trailing_slash, .. } => {
@@ -150,8 +149,7 @@ pub fn spec_open(
                 spec_point("open/existing_file_truncated");
                 new_st.heap.truncate(fref, 0);
             }
-            let fid = new_st.fresh_fid();
-            new_st.fids.insert(fid, FidState { target: FidTarget::File(fref), offset: 0, flags });
+            let fid = new_st.new_fid(FidState { target: FidTarget::File(fref), offset: 0, flags });
             CmdOutcome::from_checks(checks).with_success(new_st, Pending::NewFd { fid })
         }
         ResName::None { parent, name, trailing_slash } => {
@@ -180,8 +178,7 @@ pub fn spec_open(
                 return CmdOutcome::error(Errno::EEXIST);
             };
             new_st.notify_entry_added(parent, name);
-            let fid = new_st.fresh_fid();
-            new_st.fids.insert(fid, FidState { target: FidTarget::File(fref), offset: 0, flags });
+            let fid = new_st.new_fid(FidState { target: FidTarget::File(fref), offset: 0, flags });
             CmdOutcome::from_checks(checks).with_success(new_st, Pending::NewFd { fid })
         }
     }
@@ -204,7 +201,7 @@ pub fn spec_close(ctx: &SpecCtx<'_>, fd: Fd) -> CmdOutcome {
     // Each descriptor owns its file description in this model (no dup/fork),
     // so the description is dropped too. The underlying file object is
     // retained by the heap even if its link count is zero.
-    new_st.fids.remove(&fid);
+    new_st.remove_fid(fid);
     CmdOutcome::from_checks(Checks::ok()).with_value(new_st, RetValue::None)
 }
 
@@ -236,7 +233,7 @@ pub fn spec_lseek(ctx: &SpecCtx<'_>, fd: Fd, offset: i64, whence: SeekWhence) ->
             spec_point("lseek/success");
             let fid = *fid;
             let mut new_st = ctx.st.clone();
-            if let Some(f) = new_st.fids.get_mut(&fid) {
+            if let Some(mut f) = new_st.fid_mut(fid) {
                 f.offset = n as u64;
             }
             CmdOutcome::from_checks(Checks::ok()).with_value(new_st, RetValue::Num(n))

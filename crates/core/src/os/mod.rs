@@ -20,8 +20,28 @@ use crate::flags::{FileMode, OpenFlags};
 use crate::flavor::SpecConfig;
 use crate::intern::Name;
 use crate::perms::{Creds, GroupTable};
-use crate::state::{DirHeap, DirRef, FileRef};
+use crate::state::cow_map::ValueMut;
+use crate::state::{ChunkKey, CowMap, DirHeap, DirRef, FileRef};
 use crate::types::{DirHandleId, Fd, Fid, Gid, Pid, Uid};
+
+impl ChunkKey for Fid {
+    fn position(self) -> u64 {
+        self.0
+    }
+}
+
+impl ChunkKey for Fd {
+    fn position(self) -> u64 {
+        // Flip the sign bit so negative descriptors order below the rest.
+        (i64::from(self.0) as u64) ^ (1 << 63)
+    }
+}
+
+impl ChunkKey for DirHandleId {
+    fn position(self) -> u64 {
+        (i64::from(self.0) as u64) ^ (1 << 63)
+    }
+}
 
 /// What an open file description refers to: `open` can open directories as
 /// well as regular files (reads on a directory descriptor then fail).
@@ -232,15 +252,21 @@ pub enum ProcRunState {
 
 /// Per-process state tracked by the operating system
 /// (the `per_process_state` of the Lem model).
+///
+/// The two tables are [`CowMap`]s: cloning the state (what
+/// [`OsState::proc_mut`] does to a shared entry, e.g. for the `run_state`
+/// change of every call and return) shares them whole, and hashing it reads
+/// their cached content hashes, so neither grows with the number of open
+/// descriptors.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PerProcessState {
     /// Current working directory.
     pub cwd: DirRef,
     /// Per-process file descriptor table, mapping descriptors to OS-level
     /// file descriptions.
-    pub fds: BTreeMap<Fd, Fid>,
+    pub fds: CowMap<Fd, Fid>,
     /// Open directory handles.
-    pub dir_handles: BTreeMap<DirHandleId, DirHandleState>,
+    pub dir_handles: CowMap<DirHandleId, DirHandleState>,
     /// The file-creation mask.
     pub umask: FileMode,
     /// Effective user id.
@@ -256,8 +282,8 @@ impl PerProcessState {
     pub fn new(cwd: DirRef, euid: Uid, egid: Gid) -> PerProcessState {
         PerProcessState {
             cwd,
-            fds: BTreeMap::new(),
-            dir_handles: BTreeMap::new(),
+            fds: CowMap::new(),
+            dir_handles: CowMap::new(),
             umask: FileMode::new(0o022),
             euid,
             egid,
@@ -311,16 +337,22 @@ impl std::fmt::Debug for FingerprintCell {
 /// The top-level state of the model: the `ty_os_state` of the Lem model.
 ///
 /// Branching transitions clone the whole state, so the heavyweight components
-/// — the directory heap's object maps and each per-process table — sit behind
-/// [`Arc`]s with copy-on-write mutation (`Arc::make_mut`): a clone shares all
-/// unmodified structure and only the pieces a branch actually touches are
-/// copied.
+/// sit behind [`Arc`]s with copy-on-write mutation: the directory heap's
+/// object maps and each per-process entry use `Arc::make_mut`, and the
+/// descriptor tables are [`CowMap`]s that copy one 64-key chunk per update.
+/// A clone shares all unmodified structure, and the fingerprint reads each
+/// table's cached content hash, so cloning, a `run_state` change and a
+/// fingerprint cost O(#processes) however many descriptors are open.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OsState {
-    /// Directory structure and file contents.
+    /// Directory structure and file contents. Mutated in place only on a
+    /// fresh clone, whose fingerprint cache starts empty.
     pub heap: DirHeap,
-    /// OS-level open file descriptions (`oss_fid_table`).
-    pub fids: BTreeMap<Fid, FidState>,
+    /// OS-level open file descriptions (`oss_fid_table`); read through
+    /// [`OsState::fids`], changed through [`OsState::new_fid`],
+    /// [`OsState::fid_mut`] and [`OsState::remove_fid`], which invalidate the
+    /// cached fingerprint.
+    fids: CowMap<Fid, FidState>,
     /// Group membership (`oss_group_table`).
     pub groups: GroupTable,
     /// Per-process state (`oss_pid_table`). The table entries are shared
@@ -358,7 +390,7 @@ impl OsState {
     pub fn initial() -> OsState {
         OsState {
             heap: DirHeap::empty(),
-            fids: BTreeMap::new(),
+            fids: CowMap::new(),
             groups: GroupTable::new(),
             procs: BTreeMap::new(),
             next_fid: 1,
@@ -394,12 +426,30 @@ impl OsState {
         st
     }
 
-    /// Allocate a fresh OS-level file description id.
-    pub fn fresh_fid(&mut self) -> Fid {
+    /// The OS-level open file descriptions.
+    pub fn fids(&self) -> &CowMap<Fid, FidState> {
+        &self.fids
+    }
+
+    /// Add an open file description under a fresh id, and return the id.
+    pub fn new_fid(&mut self, fid_state: FidState) -> Fid {
         self.fingerprint.invalidate();
-        let id = self.next_fid;
+        let fid = Fid(self.next_fid);
         self.next_fid += 1;
-        Fid(id)
+        self.fids.insert(fid, fid_state);
+        fid
+    }
+
+    /// The open file description `fid`, mutably.
+    pub fn fid_mut(&mut self, fid: Fid) -> Option<ValueMut<'_, Fid, FidState>> {
+        self.fingerprint.invalidate();
+        self.fids.get_mut(&fid)
+    }
+
+    /// Drop the open file description `fid`.
+    pub fn remove_fid(&mut self, fid: Fid) -> Option<FidState> {
+        self.fingerprint.invalidate();
+        self.fids.remove(&fid)
     }
 
     /// The credentials the given process presents, or `None` when the
@@ -421,11 +471,6 @@ impl OsState {
 
     /// The per-process state of `pid`, mutably. Unshares the entry first if it
     /// is still shared with other states (copy-on-write).
-    ///
-    /// Note: mutating through the `pub` fields directly (`heap`, `fids`,
-    /// `procs`) does *not* invalidate a previously computed fingerprint —
-    /// clone the state first (clones start with an empty cache), as every
-    /// transition-engine path does.
     pub fn proc_mut(&mut self, pid: Pid) -> Option<&mut PerProcessState> {
         self.fingerprint.invalidate();
         self.procs.get_mut(&pid).map(Arc::make_mut)
@@ -440,28 +485,32 @@ impl OsState {
 
     /// Notify every open directory handle on `dir` that `name` was removed.
     pub fn notify_entry_removed(&mut self, dir: DirRef, name: Name) {
-        self.fingerprint.invalidate();
-        for proc in self.procs.values_mut() {
-            // Only unshare processes that actually hold a handle on `dir`.
-            if proc.dir_handles.values().any(|dh| dh.dir == dir) {
-                for dh in Arc::make_mut(proc).dir_handles.values_mut() {
-                    if dh.dir == dir {
-                        dh.note_removed(name);
-                    }
-                }
-            }
-        }
+        self.update_handles_on(dir, |dh| dh.note_removed(name));
     }
 
     /// Notify every open directory handle on `dir` that `name` was added.
     pub fn notify_entry_added(&mut self, dir: DirRef, name: Name) {
+        self.update_handles_on(dir, |dh| dh.note_added(name));
+    }
+
+    /// Apply `f` to every open directory handle on `dir`, unsharing only the
+    /// processes and table chunks that hold one.
+    fn update_handles_on(&mut self, dir: DirRef, f: impl Fn(&mut DirHandleState)) {
         self.fingerprint.invalidate();
         for proc in self.procs.values_mut() {
-            if proc.dir_handles.values().any(|dh| dh.dir == dir) {
-                for dh in Arc::make_mut(proc).dir_handles.values_mut() {
-                    if dh.dir == dir {
-                        dh.note_added(name);
-                    }
+            let on_dir: Vec<DirHandleId> = proc
+                .dir_handles
+                .iter()
+                .filter(|(_, dh)| dh.dir == dir)
+                .map(|(id, _)| *id)
+                .collect();
+            if on_dir.is_empty() {
+                continue;
+            }
+            let handles = &mut Arc::make_mut(proc).dir_handles;
+            for id in on_dir {
+                if let Some(mut dh) = handles.get_mut(&id) {
+                    f(&mut dh);
                 }
             }
         }
@@ -750,9 +799,15 @@ mod tests {
     #[test]
     fn fresh_fids_are_distinct() {
         let mut st = OsState::initial();
-        let a = st.fresh_fid();
-        let b = st.fresh_fid();
+        let fid_state = FidState {
+            target: FidTarget::Dir(st.heap.root()),
+            offset: 0,
+            flags: OpenFlags::empty(),
+        };
+        let a = st.new_fid(fid_state.clone());
+        let b = st.new_fid(fid_state);
         assert_ne!(a, b);
+        assert_eq!(st.fids().len(), 2);
     }
 
     #[test]
@@ -792,7 +847,7 @@ mod tests {
         st.proc_mut(Pid(1)).unwrap().dir_handles.insert(DirHandleId(1), dh_state);
         st.notify_entry_added(root, y);
         st.notify_entry_removed(root, x);
-        let dh = &st.proc(Pid(1)).unwrap().dir_handles[&DirHandleId(1)];
+        let dh = st.proc(Pid(1)).unwrap().dir_handles.get(&DirHandleId(1)).unwrap();
         assert!(dh.may.contains(&x));
         assert!(dh.may.contains(&y));
         assert!(dh.must.is_empty());

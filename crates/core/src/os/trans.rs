@@ -76,7 +76,7 @@ pub fn os_trans_into(cfg: &SpecConfig, st: &OsState, label: &OsLabel, out: &mut 
             let mut new_st = st.clone();
             if let Some(p) = new_st.procs.remove(pid) {
                 for fid in p.fds.values() {
-                    new_st.fids.remove(fid);
+                    new_st.remove_fid(*fid);
                 }
             }
             out.insert(new_st);
@@ -453,7 +453,7 @@ pub fn match_pending(
                 if let Some(fd) = fd {
                     if let Some(fid) = new_st.procs.get(&pid).and_then(|p| p.fds.get(fd)).copied()
                     {
-                        if let Some(f) = new_st.fids.get_mut(&fid) {
+                        if let Some(mut f) = new_st.fid_mut(fid) {
                             f.offset += observed_bytes.len() as u64;
                         }
                     }
@@ -481,7 +481,7 @@ pub fn match_pending(
         (Pending::WriteData { .. }, _) => false,
         (Pending::ReaddirEntry { dh }, ErrorOrValue::Value(RetValue::ReaddirEntry(entry))) => {
             let proc = new_st.proc_mut(pid)?;
-            let handle = proc.dir_handles.get_mut(dh)?;
+            let mut handle = proc.dir_handles.get_mut(dh)?;
             match entry {
                 // The observed name arrives as text; probing (not interning)
                 // keeps foreign observation strings out of the table — a name
@@ -512,20 +512,20 @@ pub fn match_pending(
 /// Apply the observed prefix of a pending write to the file behind `fd`.
 fn apply_write(st: &mut OsState, pid: Pid, fd: Fd, data: &[u8], at: WriteAt, count: usize) {
     let Some(fid) = st.procs.get(&pid).and_then(|p| p.fds.get(&fd)).copied() else { return };
-    let Some(fid_state) = st.fids.get(&fid) else { return };
+    let Some(fid_state) = st.fids().get(&fid) else { return };
     let FidTarget::File(file) = fid_state.target else { return };
     let prefix = &data[..count];
     match at {
         WriteAt::Offset(off) => {
             st.heap.write_bytes(file, off, prefix);
-            if let Some(f) = st.fids.get_mut(&fid) {
+            if let Some(mut f) = st.fid_mut(fid) {
                 f.offset = off + count as u64;
             }
         }
         WriteAt::Append => {
             let end = st.heap.file_size(file);
             st.heap.write_bytes(file, end, prefix);
-            if let Some(f) = st.fids.get_mut(&fid) {
+            if let Some(mut f) = st.fid_mut(fid) {
                 f.offset = end + count as u64;
             }
         }
@@ -1075,5 +1075,47 @@ mod tests {
         let mut b = StateSet::singleton(st);
         tau_close(&off, &mut b);
         assert_eq!(a.states(), b.states());
+    }
+
+    /// With many descriptors open, a successor state shares the descriptor
+    /// tables with its source, except for the one chunk an update touches.
+    /// Counts sharing, not time, so it is deterministic.
+    #[test]
+    fn successors_share_descriptor_tables_with_their_source() {
+        let cfg = cfg();
+        let mut st = initial();
+        let open = OsCommand::Open(
+            "/f".into(),
+            OpenFlags::O_CREAT | OpenFlags::O_RDWR,
+            Some(FileMode::new(0o644)),
+        );
+        for fd in 3..1003 {
+            st = step(&cfg, &st, open.clone(), ErrorOrValue::Value(RetValue::Fd(Fd(fd)))).remove(0);
+        }
+        for (cmd, ret) in [
+            (OsCommand::Write(Fd(500), b"abc".to_vec()), RetValue::Num(3)),
+            (OsCommand::Lseek(Fd(500), 0, crate::flags::SeekWhence::Set), RetValue::Num(0)),
+        ] {
+            st = step(&cfg, &st, cmd, ErrorOrValue::Value(ret)).remove(0);
+        }
+        assert_eq!(st.fids().len(), 1000);
+        let fds = |s: &OsState| s.proc(INITIAL_PID).unwrap().fds.clone();
+
+        // A call changes only the caller's run state.
+        let called =
+            os_trans(&cfg, &st, &OsLabel::Call(INITIAL_PID, OsCommand::Read(Fd(500), 3))).remove(0);
+        let fids = called.fids().sharing_with(st.fids());
+        assert!(fids.spine, "{fids:?}");
+        assert!(fds(&called).sharing_with(&fds(&st)).spine);
+
+        // The read's return moves one description's offset: one fids chunk
+        // is copied, the rest and the descriptor table stay shared.
+        let ret = ErrorOrValue::Value(RetValue::Bytes(b"abc".to_vec()));
+        let read = os_trans(&cfg, &called, &OsLabel::Return(INITIAL_PID, ret)).remove(0);
+        let fids = read.fids().sharing_with(called.fids());
+        assert_eq!(fids.chunks, 16);
+        assert_eq!(fids.shared_chunks, fids.chunks - 1, "{fids:?}");
+        assert!(fds(&read).sharing_with(&fds(&called)).spine);
+        assert_eq!(read.fd_entry(INITIAL_PID, Fd(500)).unwrap().1.offset, 3);
     }
 }
