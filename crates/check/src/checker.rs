@@ -1,4 +1,19 @@
 //! The core trace-checking algorithm.
+//!
+//! [`check_trace`] applies each label to the set of states the system might
+//! be in, starting from the initial state. The same loop can also start from
+//! a checkpoint a `PrefixCache` holds: the loop state after a label that
+//! left exactly one tracked state, within a trace's first 1024 labels (the
+//! cache keeps 8: the one the trace resumed at and the most recent). Only
+//! single-state checkpoints are taken, so multi-state sets (up to thousands
+//! of states under contention) are never copied, and the one state is kept
+//! rather than cloned: it is the state the next label was applied to, which
+//! `apply_label` hands back instead of dropping. The checker pool resumes
+//! from checkpoints; `check_trace` itself, and with it coverage collection,
+//! always starts from the initial state.
+
+use std::borrow::Borrow;
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -170,33 +185,284 @@ impl CheckedTrace {
 }
 
 /// Check a single trace against the model configured by `cfg`.
+///
+/// Every label is checked from the initial state: this is the reference the
+/// prefix-resuming checker of [`crate::pool`] is tested against.
 pub fn check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> CheckedTrace {
+    check_labels(cfg, trace, opts, None)
+}
+
+/// [`check_trace`], resumed at the last checkpoint `cache` holds on the label
+/// prefix `trace` shares with the previous trace checked through it. `cache`
+/// then holds `trace` and its checkpoints.
+pub(crate) fn check_trace_resuming<T: Borrow<Trace> + 'static>(
+    cfg: &SpecConfig,
+    trace: T,
+    opts: CheckOptions,
+    cache: &mut PrefixCache,
+) -> CheckedTrace {
+    let checked = check_labels(cfg, trace.borrow(), opts, Some(cache));
+    cache.trace = Some(Box::new(trace));
+    checked
+}
+
+/// The label of the step that records a `max_states` truncation.
+const BOUND_STEP: &str = "<state-set safety bound exceeded; set truncated>";
+
+/// Checkpoints are taken only after one of a trace's first this many labels,
+/// which bounds the steps a [`PrefixCache`] keeps.
+const CHECKPOINT_LABELS: usize = 1024;
+
+/// How many checkpoints a [`PrefixCache`] keeps. Each pins its own version of
+/// every object changed after it (a write copies the whole file), so keeping
+/// them all would hold memory quadratic in a trace's writes, and dropping
+/// them costs a trace that resumes nothing. A suite trace is its group's
+/// fixture plus a short tail, so the next trace usually resumes at the
+/// checkpoint this one resumed at, or at one near its end: those are kept.
+const CHECKPOINTS_KEPT: usize = 8;
+
+/// What a checker keeps of the last trace it checked, so that the next trace
+/// can skip the label prefix the two share.
+///
+/// A checkpoint is the loop state after a label that left exactly one
+/// tracked state, never a multi-state set; [`CHECKPOINTS_KEPT`] of them are
+/// kept. Its state is the one the next label was applied to, kept instead of
+/// dropped, so taking a checkpoint clones no state. Resuming at one is exact
+/// because checking is a pure function of the configuration, the options and
+/// the labels: the steps and deviations recorded before it are the ones the
+/// new trace would produce, except for their line numbers, which are taken
+/// from the new trace.
+#[derive(Default)]
+pub(crate) struct PrefixCache {
+    /// The configuration and options the cached trace was checked under.
+    key: Option<(SpecConfig, CheckOptions)>,
+    /// The cached trace itself, moved here rather than copied.
+    trace: Option<Box<dyn Borrow<Trace>>>,
+    /// Its steps and deviations from its first [`CHECKPOINT_LABELS`] labels.
+    steps: Vec<CachedStep>,
+    deviations: Vec<(usize, Deviation)>,
+    /// The cached trace's first checkpoint (the one it resumed at, if any)
+    /// and its most recent ones, in label order.
+    first: Option<Checkpoint>,
+    recent: VecDeque<Checkpoint>,
+}
+
+/// A checked step without its label and line number, which are taken from
+/// the trace that reuses it.
+struct CachedStep {
+    /// The index of the label the step checked.
+    label: usize,
+    kind: StepKind,
+    verdict: StepVerdict,
+    states_tracked: usize,
+}
+
+/// The loop state after `at.labels` labels, when one state was left.
+struct Checkpoint {
+    at: Mark,
+    state: OsState,
+}
+
+/// What a checkpoint keeps besides its state, taken before the next label is
+/// applied to that state.
+struct Mark {
+    labels: usize,
+    sleep: SleepSet,
+    steps: usize,
+    deviations: usize,
+    max_states: usize,
+}
+
+impl PrefixCache {
+    /// The progress at the last checkpoint on the label prefix `trace`
+    /// shares with the cached trace, and that checkpoint's label count.
+    /// Everything cached past it is dropped, and so is the whole cache when
+    /// `key` differs from the cached trace's.
+    fn resume(
+        &mut self,
+        key: (SpecConfig, CheckOptions),
+        trace: &Trace,
+    ) -> Option<(usize, Progress)> {
+        if self.key != Some(key) {
+            *self = PrefixCache { key: Some(key), ..PrefixCache::default() };
+            return None;
+        }
+        let boxed = self.trace.take()?;
+        let cached: &Trace = (*boxed).borrow();
+        let shared = cached
+            .steps
+            .iter()
+            .zip(&trace.steps)
+            .take(CHECKPOINT_LABELS)
+            .take_while(|(cached, step)| cached.label == step.label)
+            .count();
+        // The checkpoint resumed at is taken out: checking the next label
+        // records it again, with the state moved back. The others go.
+        let resumed = match self.recent.iter().rposition(|c| c.at.labels <= shared) {
+            Some(j) => self.recent.remove(j),
+            None => self.first.take().filter(|c| c.at.labels <= shared),
+        };
+        self.first = None;
+        self.recent.clear();
+        let (steps, deviations) =
+            resumed.as_ref().map_or((0, 0), |c| (c.at.steps, c.at.deviations));
+        self.steps.truncate(steps);
+        self.deviations.truncate(deviations);
+        let Checkpoint { at, state } = resumed?;
+
+        let steps: Vec<CheckedStep> = self
+            .steps
+            .iter()
+            .map(|s| CheckedStep {
+                lineno: trace.steps[s.label].lineno,
+                label: match s.kind {
+                    StepKind::Internal => StepLabel::Synthetic(BOUND_STEP),
+                    _ => StepLabel::Observed(trace.steps[s.label].label.clone()),
+                },
+                kind: s.kind,
+                verdict: s.verdict.clone(),
+                states_tracked: s.states_tracked,
+            })
+            .collect();
+        let deviations = self
+            .deviations
+            .iter()
+            .map(|(i, d)| Deviation { lineno: trace.steps[*i].lineno, ..d.clone() })
+            .collect();
+        let truncations = steps.iter().filter(|s| s.kind == StepKind::Internal).count();
+        obs::m::CHECK_TRUNCATIONS_TOTAL.add(truncations as u64);
+        obs::m::CHECK_LABELS_RESUMED_TOTAL.add(at.labels as u64);
+        let mut last_call = Vec::new();
+        for step in &trace.steps[..at.labels] {
+            note_call(&mut last_call, &step.label);
+        }
+        let progress = Progress {
+            states: StateSet::singleton(state),
+            sleeps: vec![at.sleep],
+            steps,
+            deviations,
+            max_states: at.max_states,
+            last_call,
+        };
+        Some((at.labels, progress))
+    }
+
+    /// Add a checkpoint, keeping the trace's first one (the one it resumed
+    /// at, if any) and the most recent ones.
+    fn keep(&mut self, checkpoint: Checkpoint) {
+        if self.first.is_none() {
+            self.first = Some(checkpoint);
+            return;
+        }
+        if self.recent.len() + 1 == CHECKPOINTS_KEPT {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(checkpoint);
+    }
+
+    /// Record the steps and deviations label `i` added to `p`; `steps` and
+    /// `deviations` are their counts before the label.
+    fn record(&mut self, i: usize, p: &Progress, steps: usize, deviations: usize) {
+        if i < CHECKPOINT_LABELS {
+            self.steps.extend(p.steps[steps..].iter().map(|s| CachedStep {
+                label: i,
+                kind: s.kind,
+                verdict: s.verdict.clone(),
+                states_tracked: s.states_tracked,
+            }));
+            self.deviations.extend(p.deviations[deviations..].iter().map(|d| (i, d.clone())));
+        }
+    }
+}
+
+/// The checker's loop state between two labels.
+struct Progress {
+    states: StateSet,
+    /// Per-state sleep sets, parallel to `states` (see `trans::SleepSet`).
+    /// All-empty unless POR is active; empty sleep sets make every POR branch
+    /// a no-op, so Off mode follows the exact pre-POR code path.
+    sleeps: Vec<SleepSet>,
+    steps: Vec<CheckedStep>,
+    deviations: Vec<Deviation>,
+    max_states: usize,
+    /// The last call made by each process, for diagnostics.
+    last_call: Vec<(Pid, OsCommand)>,
+}
+
+impl Progress {
+    /// The mark of a checkpoint after `labels` labels, if one is due: exactly
+    /// one state is tracked, and `labels` lies in the checkpointed prefix.
+    fn mark(&self, labels: usize) -> Option<Mark> {
+        if self.states.len() != 1 || !(1..=CHECKPOINT_LABELS).contains(&labels) {
+            return None;
+        }
+        Some(Mark {
+            labels,
+            sleep: self.sleeps.first().cloned().unwrap_or_default(),
+            steps: self.steps.len(),
+            deviations: self.deviations.len(),
+            max_states: self.max_states,
+        })
+    }
+}
+
+fn note_call(last_call: &mut Vec<(Pid, OsCommand)>, label: &OsLabel) {
+    if let OsLabel::Call(pid, cmd) = label {
+        last_call.retain(|(p, _)| p != pid);
+        last_call.push((*pid, cmd.clone()));
+    }
+}
+
+/// Check `trace`, resuming from `cache` and recording into it if given;
+/// without a cache, every label is checked and nothing is recorded.
+fn check_labels(
+    cfg: &SpecConfig,
+    trace: &Trace,
+    opts: CheckOptions,
+    mut cache: Option<&mut PrefixCache>,
+) -> CheckedTrace {
     let _span = obs::span("check", "check_trace");
     let started = std::time::Instant::now();
     // Dedup hits are tallied locally per trace and flushed once below: the
     // insert path is too hot for shared atomics (see `StateSet::take_dedup_hits`).
     let mut dedup_hits: u64 = 0;
     let init_cfg = SpecConfig { root_user: opts.root_user, ..*cfg };
-    let mut states =
-        StateSet::singleton(OsState::initial_with_process(&init_cfg, INITIAL_PID));
-    // Per-state sleep sets, parallel to `states` (see `trans::SleepSet`).
-    // All-empty unless POR is active; empty sleep sets make every POR branch
-    // below a no-op, so Off mode follows the exact pre-POR code path.
-    let mut sleeps: Vec<SleepSet> = vec![SleepSet::new()];
-    let mut steps = Vec::new();
-    let mut deviations = Vec::new();
-    let mut max_states = states.len();
-    // The last call made by each process, for diagnostics.
-    let mut last_call: Vec<(Pid, OsCommand)> = Vec::new();
+    let initial = || StateSet::singleton(OsState::initial_with_process(&init_cfg, INITIAL_PID));
+    let (resumed, mut p) =
+        cache.as_deref_mut().and_then(|c| c.resume((*cfg, opts), trace)).unwrap_or_else(|| {
+            let states = initial();
+            let progress = Progress {
+                max_states: states.len(),
+                states,
+                sleeps: vec![SleepSet::new()],
+                steps: Vec::new(),
+                deviations: Vec::new(),
+                last_call: Vec::new(),
+            };
+            (0, progress)
+        });
 
-    for step in &trace.steps {
+    for (i, step) in trace.steps.iter().enumerate().skip(resumed) {
         let label = &step.label;
-        if let OsLabel::Call(pid, cmd) = label.clone() {
-            last_call.retain(|(p, _)| *p != pid);
-            last_call.push((pid, cmd));
-        }
+        note_call(&mut p.last_call, label);
+        let (steps_before, deviations_before) = (p.steps.len(), p.deviations.len());
+        let mark = cache.as_ref().and_then(|_| p.mark(i));
 
-        let (next, next_sleeps, verdict) = apply_label(cfg, states, sleeps, label);
+        let states = std::mem::take(&mut p.states);
+        let sleeps = std::mem::take(&mut p.sleeps);
+        let (next, next_sleeps, verdict, spent) = apply_label(cfg, states, sleeps, label);
+        if let (Some(cache), Some(at)) = (cache.as_deref_mut(), mark) {
+            // The set this label was applied to starts with the checkpoint's
+            // state. When it was not handed back, it is the next set, which
+            // still starts with that state.
+            let state = match spent {
+                Some(spent) => spent.into_states().into_iter().next(),
+                None => next.get(0).cloned(),
+            };
+            if let Some(state) = state {
+                cache.keep(Checkpoint { at, state });
+            }
+        }
         match &verdict {
             StepVerdict::Ok => {}
             // Only the bound-handling block below constructs this variant.
@@ -206,10 +472,10 @@ pub fn check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> Check
             StepVerdict::Deviation { observed, allowed, .. } => {
                 let (function, call) = label
                     .pid()
-                    .and_then(|pid| last_call.iter().find(|(p, _)| *p == pid))
+                    .and_then(|pid| p.last_call.iter().find(|(q, _)| *q == pid))
                     .map(|(_, c)| (c.name().to_string(), c.to_string()))
                     .unwrap_or_else(|| ("<unknown>".to_string(), String::new()));
-                deviations.push(Deviation {
+                p.deviations.push(Deviation {
                     lineno: step.lineno,
                     function,
                     call,
@@ -218,30 +484,30 @@ pub fn check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> Check
                 });
             }
         }
-        states = next;
-        sleeps = next_sleeps;
-        dedup_hits += states.take_dedup_hits();
-        max_states = max_states.max(states.len());
-        steps.push(CheckedStep {
+        p.states = next;
+        p.sleeps = next_sleeps;
+        dedup_hits += p.states.take_dedup_hits();
+        p.max_states = p.max_states.max(p.states.len());
+        p.steps.push(CheckedStep {
             lineno: step.lineno,
             label: StepLabel::Observed(label.clone()),
             kind: StepKind::of_label(label),
             verdict,
-            states_tracked: states.len(),
+            states_tracked: p.states.len(),
         });
-        if states.len() > opts.max_states {
+        if p.states.len() > opts.max_states {
             // The remainder of the check is lossy: record it loudly so the
             // trace is never reported clean.
-            let tracked = states.len();
+            let tracked = p.states.len();
             obs::m::CHECK_TRUNCATIONS_TOTAL.inc();
-            states.truncate(opts.max_states);
-            sleeps.truncate(opts.max_states);
+            p.states.truncate(opts.max_states);
+            p.sleeps.truncate(opts.max_states);
             // Truncation may have dropped the sibling states that justified a
             // survivor's sleep entries; wake everything to stay sound.
-            for s in &mut sleeps {
+            for s in &mut p.sleeps {
                 s.clear();
             }
-            deviations.push(Deviation {
+            p.deviations.push(Deviation {
                 lineno: step.lineno,
                 function: "<checker>".to_string(),
                 call: "<state-set safety bound>".to_string(),
@@ -251,35 +517,43 @@ pub fn check_trace(cfg: &SpecConfig, trace: &Trace, opts: CheckOptions) -> Check
                     opts.max_states
                 )],
             });
-            steps.push(CheckedStep {
+            p.steps.push(CheckedStep {
                 lineno: step.lineno,
-                label: StepLabel::Synthetic("<state-set safety bound exceeded; set truncated>"),
+                label: StepLabel::Synthetic(BOUND_STEP),
                 kind: StepKind::Internal,
                 verdict: StepVerdict::StateSetBounded { tracked, bound: opts.max_states },
-                states_tracked: states.len(),
+                states_tracked: p.states.len(),
             });
         }
-        if states.is_empty() {
+        if p.states.is_empty() {
             // Unrecoverable (should not happen: recovery always yields at
             // least one state); restart from a fresh state to keep going.
-            states =
-                StateSet::singleton(OsState::initial_with_process(&init_cfg, INITIAL_PID));
-            sleeps = vec![SleepSet::new()];
+            p.states = initial();
+            p.sleeps = vec![SleepSet::new()];
+        }
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.record(i, &p, steps_before, deviations_before);
+        }
+    }
+    // The last label's checkpoint has no next label to hand its state back.
+    if let Some(cache) = cache {
+        if let (Some(at), Some(state)) = (p.mark(trace.steps.len()), p.states.get(0)) {
+            cache.keep(Checkpoint { at, state: state.clone() });
         }
     }
 
     obs::m::CHECK_TRACES_TOTAL.inc();
-    obs::m::CHECK_DEVIATIONS_TOTAL.add(deviations.len() as u64);
+    obs::m::CHECK_DEVIATIONS_TOTAL.add(p.deviations.len() as u64);
     obs::m::STATE_DEDUP_HITS_TOTAL.add(dedup_hits);
     obs::m::CHECK_TRACE_NS.record_duration(started.elapsed());
 
     CheckedTrace {
         name: trace.name.clone(),
         group: trace.group.clone(),
-        accepted: deviations.is_empty(),
-        steps,
-        deviations,
-        max_states_tracked: max_states,
+        accepted: p.deviations.is_empty(),
+        steps: p.steps,
+        deviations: p.deviations,
+        max_states_tracked: p.max_states,
     }
 }
 
@@ -328,13 +602,15 @@ pub fn check_trace_with_coverage(
 /// Apply one label to the tracked state set, producing the next set, its
 /// per-state sleep sets, and the verdict for this step. Takes the set by
 /// value: conformant paths hand back the transition union, deviation paths
-/// hand back a recovered set (or the input set unchanged).
+/// hand back a recovered set (or the input set unchanged). The input set is
+/// handed back too, when it is not the next set; its first state is still
+/// the one the label was applied to.
 fn apply_label(
     cfg: &SpecConfig,
     mut states: StateSet,
     mut sleeps: Vec<SleepSet>,
     label: &OsLabel,
-) -> (StateSet, Vec<SleepSet>, StepVerdict) {
+) -> (StateSet, Vec<SleepSet>, StepVerdict, Option<StateSet>) {
     sleeps.resize(states.len(), SleepSet::new());
     match label {
         OsLabel::Call(..) | OsLabel::Create(..) | OsLabel::Destroy(..) => {
@@ -351,14 +627,14 @@ fn apply_label(
                     allowed: vec!["<no such transition from any tracked state>".to_string()],
                     continued_with: None,
                 };
-                (states, sleeps, verdict)
+                (states, sleeps, verdict, None)
             } else {
-                (next, next_sleeps, StepVerdict::Ok)
+                (next, next_sleeps, StepVerdict::Ok, Some(states))
             }
         }
         OsLabel::Tau => {
             tau_close_with_sleeps(cfg, &mut states, &mut sleeps);
-            (states, sleeps, StepVerdict::Ok)
+            (states, sleeps, StepVerdict::Ok, None)
         }
         OsLabel::Return(pid, observed) => {
             // Close under internal steps so calls from other processes may be
@@ -366,7 +642,7 @@ fn apply_label(
             tau_close_with_sleeps(cfg, &mut states, &mut sleeps);
             let (next, next_sleeps) = union_returns(cfg, &states, &sleeps, *pid, label);
             if !next.is_empty() {
-                return (next, next_sleeps, StepVerdict::Ok);
+                return (next, next_sleeps, StepVerdict::Ok, Some(states));
             }
             // Non-conformant: collect the allowed returns for diagnostics and
             // continue from the model's own completions (Fig. 4).
@@ -407,7 +683,7 @@ fn apply_label(
             // Recovery synthesises states the POR bookkeeping knows nothing
             // about; wake everything rather than carry stale sleep entries.
             let recovered_sleeps = vec![SleepSet::new(); recovered.len()];
-            (recovered, recovered_sleeps, verdict)
+            (recovered, recovered_sleeps, verdict, Some(states))
         }
     }
 }

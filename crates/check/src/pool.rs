@@ -1,7 +1,7 @@
 //! The persistent checker pool.
 //!
-//! [`CheckerPool`] is a [`sibylfs_core::pool::Pool`] whose jobs run
-//! [`check_trace`]: `sibylfs-check-{i}` threads created once, fed from a queue
+//! [`CheckerPool`] is a [`sibylfs_core::pool::Pool`] whose jobs check
+//! traces: `sibylfs-check-{i}` threads created once, fed from a queue
 //! bounded at twice the worker count, reporting into the `sibylfs_pool_*`
 //! metrics. A long-lived server shares it across sessions without thread
 //! churn, and a suite producer that outruns checking blocks in
@@ -11,15 +11,37 @@
 //! (e.g. into a session's reply channel) and must never `submit` to the same
 //! pool: once the queue is full and every worker waits in `submit`, nothing
 //! is left to drain it.
+//!
+//! # Shared prefixes are checked once per worker
+//!
+//! Generated suites are per-group fixtures followed by short tails, so
+//! consecutive traces mostly share a label prefix. Each worker keeps a
+//! thread-local `PrefixCache` of the last trace it checked: the trace itself
+//! (moved there once checked, not copied), its verdict's steps and
+//! deviations from its first 1024 labels, and up to 8 checkpoints after
+//! labels among those that left exactly one tracked state (the one the trace
+//! resumed at, and the most recent). The next trace resumes at the last
+//! checkpoint on the prefix the two share; the steps and
+//! deviations before it are copied, with line numbers from the new trace,
+//! and each process's last call is replayed for diagnostics. The verdict is
+//! byte-identical to [`check_trace`](crate::check_trace)'s, by test
+//! (`tests/prefix_resume.rs`). The cache is dropped when the configuration
+//! or options change, and it never holds more than one trace: it is not a
+//! memo of verdicts.
+//!
+//! With several workers, jobs go to whichever worker is free, so neighbours
+//! in a suite usually land on different workers: each trace resumes only
+//! from the trace its own worker checked last.
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 
 use sibylfs_core::flavor::SpecConfig;
 use sibylfs_core::obs::m;
 use sibylfs_core::pool::{Pool, PoolMetrics};
 use sibylfs_script::Trace;
 
-use crate::checker::{check_trace, CheckOptions, CheckedTrace};
+use crate::checker::{check_trace_resuming, CheckOptions, CheckedTrace, PrefixCache};
 
 static METRICS: PoolMetrics = PoolMetrics {
     span: ("pool", "pool_job"),
@@ -32,6 +54,24 @@ static METRICS: PoolMetrics = PoolMetrics {
     run_ns: Some(&m::POOL_JOB_RUN_NS),
     reorder_depth: None,
 };
+
+thread_local! {
+    /// What this worker kept of the last trace it checked.
+    static PREFIX: RefCell<PrefixCache> = RefCell::new(PrefixCache::default());
+}
+
+/// Check `trace` on this worker, resuming from the previous trace it checked.
+fn check(
+    cfg: &SpecConfig,
+    trace: impl Borrow<Trace> + 'static,
+    opts: CheckOptions,
+) -> CheckedTrace {
+    // Taken out for the check, so a check that panics leaves an empty cache.
+    let mut cache = PREFIX.take();
+    let checked = check_trace_resuming(cfg, trace, opts, &mut cache);
+    PREFIX.set(cache);
+    checked
+}
 
 /// A fixed-size pool of persistent checker threads.
 pub struct CheckerPool {
@@ -64,7 +104,7 @@ impl CheckerPool {
         opts: CheckOptions,
         done: impl FnOnce(CheckedTrace) + Send + 'static,
     ) {
-        self.pool.submit(move || done(check_trace(&cfg, &trace, opts)));
+        self.pool.submit(move || done(check(&cfg, trace, opts)));
     }
 
     /// Check every trace and return the verdicts in input order. `traces`
@@ -80,13 +120,14 @@ impl CheckerPool {
         T: Borrow<Trace> + Send + 'static,
     {
         let cfg = *cfg;
-        self.pool.ordered(traces, move |t: T| check_trace(&cfg, t.borrow(), opts)).collect()
+        self.pool.ordered(traces, move |t: T| check(&cfg, t, opts)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::check_trace;
     use sibylfs_core::flavor::{Flavor, SpecConfig};
     use sibylfs_core::obs;
     use sibylfs_exec::{execute_script, ExecOptions};

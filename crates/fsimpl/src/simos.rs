@@ -82,6 +82,21 @@ impl SimProc {
     }
 }
 
+/// The credentials permission and creation checks read from a process:
+/// copied out so a handler need not clone the process's descriptor tables.
+#[derive(Debug, Clone, Copy)]
+struct Creds {
+    umask: u32,
+    euid: u32,
+    egid: u32,
+}
+
+impl Creds {
+    fn of(proc: &SimProc) -> Creds {
+        Creds { umask: proc.umask, euid: proc.euid, egid: proc.egid }
+    }
+}
+
 /// What kind of access a permission check is asking about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Want {
@@ -133,17 +148,22 @@ impl SimOs {
         self.procs.get_mut(&pid.0)
     }
 
+    /// The credentials of a live process (`call` has checked it exists).
+    fn creds(&self, pid: Pid) -> Creds {
+        Creds::of(&self.procs[&pid.0])
+    }
+
     fn in_group(&self, uid: u32, gid: u32, proc_egid: u32) -> bool {
         proc_egid == gid || self.groups.get(&gid).map(|s| s.contains(&uid)).unwrap_or(false)
     }
 
-    fn allowed(&self, proc: &SimProc, meta: &NodeMeta, want: Want) -> bool {
-        if self.profile.permissions_not_enforced || proc.euid == 0 {
+    fn allowed(&self, creds: Creds, meta: &NodeMeta, want: Want) -> bool {
+        if self.profile.permissions_not_enforced || creds.euid == 0 {
             return true;
         }
-        let (r, w, x) = if proc.euid == meta.uid {
+        let (r, w, x) = if creds.euid == meta.uid {
             (0o400, 0o200, 0o100)
-        } else if self.in_group(proc.euid, meta.gid, proc.egid) {
+        } else if self.in_group(creds.euid, meta.gid, creds.egid) {
             (0o040, 0o020, 0o010)
         } else {
             (0o004, 0o002, 0o001)
@@ -160,9 +180,9 @@ impl SimOs {
         self.fs.node(ino).map(|n| n.meta).unwrap_or(NodeMeta { mode: 0, uid: 0, gid: 0 })
     }
 
-    fn check_dir_writable(&self, proc: &SimProc, dir: Ino) -> Result<(), Errno> {
+    fn check_dir_writable(&self, creds: Creds, dir: Ino) -> Result<(), Errno> {
         let meta = self.node_meta(dir);
-        if self.allowed(proc, &meta, Want::Write) && self.allowed(proc, &meta, Want::Exec) {
+        if self.allowed(creds, &meta, Want::Write) && self.allowed(creds, &meta, Want::Exec) {
             Ok(())
         } else {
             Err(Errno::EACCES)
@@ -171,23 +191,23 @@ impl SimOs {
 
     /// The effective mode of a newly created object, after umask and mount
     /// options.
-    fn creation_mode(&self, proc: &SimProc, requested: u32) -> u32 {
+    fn creation_mode(&self, creds: Creds, requested: u32) -> u32 {
         let umask = if self.profile.umask_ignored {
             0
         } else if let Some(forced) = self.profile.forced_umask_or {
-            proc.umask | forced
+            creds.umask | forced
         } else {
-            proc.umask
+            creds.umask
         };
         requested & !umask & 0o7777
     }
 
     /// The owner of newly created objects.
-    fn creation_owner(&self, proc: &SimProc) -> (u32, u32) {
+    fn creation_owner(&self, creds: Creds) -> (u32, u32) {
         if self.profile.creation_owner_root {
             (0, 0)
         } else {
-            (proc.euid, proc.egid)
+            (creds.euid, creds.egid)
         }
     }
 
@@ -291,15 +311,15 @@ impl SimOs {
         if self.profile.permissions_not_enforced || proc.euid == 0 {
             return self.fs.resolve_parsed(cwd, path, follow_last, None);
         }
-        let proc = proc.clone();
-        let check = |meta: &NodeMeta| self.allowed(&proc, meta, Want::Exec);
+        let creds = Creds::of(proc);
+        let check = |meta: &NodeMeta| self.allowed(creds, meta, Want::Exec);
         self.fs.resolve_parsed(cwd, path, follow_last, Some(&check))
     }
 
     // --- directories ---------------------------------------------------------
 
     fn do_mkdir(&mut self, pid: Pid, path: &ParsedPath, mode: u32) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         match self.resolve(pid, path, false) {
             SimRes::Error(e) => ErrorOrValue::Error(e),
             SimRes::Dir { .. } => ErrorOrValue::Error(Errno::EEXIST),
@@ -308,11 +328,11 @@ impl SimOs {
                 if !self.fs.is_connected(parent) && !self.profile.create_in_deleted_cwd_succeeds {
                     return ErrorOrValue::Error(Errno::ENOENT);
                 }
-                if let Err(e) = self.check_dir_writable(&proc, parent) {
+                if let Err(e) = self.check_dir_writable(creds, parent) {
                     return ErrorOrValue::Error(e);
                 }
-                let (uid, gid) = self.creation_owner(&proc);
-                let meta = NodeMeta { mode: self.creation_mode(&proc, mode), uid, gid };
+                let (uid, gid) = self.creation_owner(creds);
+                let meta = NodeMeta { mode: self.creation_mode(creds, mode), uid, gid };
                 self.fs.create(
                     parent,
                     name,
@@ -325,7 +345,7 @@ impl SimOs {
     }
 
     fn do_rmdir(&mut self, pid: Pid, path: &ParsedPath) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         if path.last_component() == Some(Name::DOT) {
             return ErrorOrValue::Error(Errno::EINVAL);
         }
@@ -345,7 +365,7 @@ impl SimOs {
                 if !self.fs.dir_is_empty(ino) {
                     return ErrorOrValue::Error(self.profile.rename_nonempty_errno);
                 }
-                if let Err(e) = self.check_dir_writable(&proc, pdir) {
+                if let Err(e) = self.check_dir_writable(creds, pdir) {
                     return ErrorOrValue::Error(e);
                 }
                 self.fs.remove_entry(pdir, name, true);
@@ -355,14 +375,14 @@ impl SimOs {
     }
 
     fn do_chdir(&mut self, pid: Pid, path: &ParsedPath) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         match self.resolve(pid, path, true) {
             SimRes::Error(e) => ErrorOrValue::Error(e),
             SimRes::Missing { .. } => ErrorOrValue::Error(Errno::ENOENT),
             SimRes::NonDir { .. } => ErrorOrValue::Error(Errno::ENOTDIR),
             SimRes::Dir { ino, .. } => {
                 let meta = self.node_meta(ino);
-                if !self.allowed(&proc, &meta, Want::Exec) {
+                if !self.allowed(creds, &meta, Want::Exec) {
                     return ErrorOrValue::Error(Errno::EACCES);
                 }
                 self.proc_mut(pid).expect("process exists").cwd = ino;
@@ -374,7 +394,7 @@ impl SimOs {
     // --- files ---------------------------------------------------------------
 
     fn do_unlink(&mut self, pid: Pid, path: &ParsedPath) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         match self.resolve(pid, path, false) {
             SimRes::Error(e) => ErrorOrValue::Error(e),
             SimRes::Missing { .. } => ErrorOrValue::Error(Errno::ENOENT),
@@ -383,7 +403,7 @@ impl SimOs {
                 if trailing_slash {
                     return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
                 }
-                if let Err(e) = self.check_dir_writable(&proc, parent) {
+                if let Err(e) = self.check_dir_writable(creds, parent) {
                     return ErrorOrValue::Error(e);
                 }
                 self.fs.remove_entry(parent, name, true);
@@ -393,7 +413,7 @@ impl SimOs {
     }
 
     fn do_truncate(&mut self, pid: Pid, path: &ParsedPath, len: i64) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         if len < 0 {
             return ErrorOrValue::Error(Errno::EINVAL);
         }
@@ -406,7 +426,7 @@ impl SimOs {
                     return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
                 }
                 let meta = self.node_meta(ino);
-                if !self.allowed(&proc, &meta, Want::Write) {
+                if !self.allowed(creds, &meta, Want::Write) {
                     return ErrorOrValue::Error(Errno::EACCES);
                 }
                 if len > MAX_FILE_SIZE {
@@ -446,7 +466,7 @@ impl SimOs {
     // --- links ---------------------------------------------------------------
 
     fn do_link(&mut self, pid: Pid, src: &ParsedPath, dst: &ParsedPath) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         // Examine the source without following, to apply per-configuration
         // symlink handling.
         let src_nofollow = self.resolve(pid, src, false);
@@ -493,7 +513,7 @@ impl SimOs {
                 if !self.fs.is_connected(parent) {
                     return ErrorOrValue::Error(Errno::ENOENT);
                 }
-                if let Err(e) = self.check_dir_writable(&proc, parent) {
+                if let Err(e) = self.check_dir_writable(creds, parent) {
                     return ErrorOrValue::Error(e);
                 }
                 self.fs.add_link(parent, name, src_ino);
@@ -503,7 +523,7 @@ impl SimOs {
     }
 
     fn do_symlink(&mut self, pid: Pid, target: &ParsedPath, path: &ParsedPath) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         match self.resolve(pid, path, false) {
             SimRes::Error(e) => ErrorOrValue::Error(e),
             SimRes::Dir { .. } | SimRes::NonDir { .. } => ErrorOrValue::Error(Errno::EEXIST),
@@ -514,10 +534,10 @@ impl SimOs {
                 if !self.fs.is_connected(parent) && !self.profile.create_in_deleted_cwd_succeeds {
                     return ErrorOrValue::Error(Errno::ENOENT);
                 }
-                if let Err(e) = self.check_dir_writable(&proc, parent) {
+                if let Err(e) = self.check_dir_writable(creds, parent) {
                     return ErrorOrValue::Error(e);
                 }
-                let (uid, gid) = self.creation_owner(&proc);
+                let (uid, gid) = self.creation_owner(creds);
                 let meta = NodeMeta { mode: self.profile.symlink_mode, uid, gid };
                 self.fs.create(parent, name, NodeKind::Symlink { target: target.clone() }, meta);
                 ErrorOrValue::Value(RetValue::None)
@@ -540,7 +560,7 @@ impl SimOs {
     // --- rename ---------------------------------------------------------------
 
     fn do_rename(&mut self, pid: Pid, src: &ParsedPath, dst: &ParsedPath) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         for p in [src, dst] {
             if p.ends_in_dot() {
                 return ErrorOrValue::Error(Errno::EINVAL);
@@ -596,8 +616,8 @@ impl SimOs {
                             return ErrorOrValue::Error(Errno::EINVAL);
                         };
                         if let Err(e) = self
-                            .check_dir_writable(&proc, sp)
-                            .and_then(|_| self.check_dir_writable(&proc, dp))
+                            .check_dir_writable(creds, sp)
+                            .and_then(|_| self.check_dir_writable(creds, dp))
                         {
                             return ErrorOrValue::Error(e);
                         }
@@ -619,8 +639,8 @@ impl SimOs {
                             return ErrorOrValue::Error(Errno::ENOENT);
                         }
                         if let Err(e) = self
-                            .check_dir_writable(&proc, sp)
-                            .and_then(|_| self.check_dir_writable(&proc, dp))
+                            .check_dir_writable(creds, sp)
+                            .and_then(|_| self.check_dir_writable(creds, dp))
                         {
                             return ErrorOrValue::Error(e);
                         }
@@ -642,8 +662,8 @@ impl SimOs {
                             return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
                         }
                         if let Err(e) = self
-                            .check_dir_writable(&proc, sp)
-                            .and_then(|_| self.check_dir_writable(&proc, dp))
+                            .check_dir_writable(creds, sp)
+                            .and_then(|_| self.check_dir_writable(creds, dp))
                         {
                             return ErrorOrValue::Error(e);
                         }
@@ -671,8 +691,8 @@ impl SimOs {
                             return ErrorOrValue::Error(Errno::ENOENT);
                         }
                         if let Err(e) = self
-                            .check_dir_writable(&proc, sp)
-                            .and_then(|_| self.check_dir_writable(&proc, dp))
+                            .check_dir_writable(creds, sp)
+                            .and_then(|_| self.check_dir_writable(creds, dp))
                         {
                             return ErrorOrValue::Error(e);
                         }
@@ -691,7 +711,7 @@ impl SimOs {
     // --- open / close / lseek --------------------------------------------------
 
     fn do_open(&mut self, pid: Pid, path: &ParsedPath, flags: OpenFlags, mode: Option<FileMode>) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         let Some(access) = flags.access_mode() else {
             return ErrorOrValue::Error(Errno::EINVAL);
         };
@@ -704,8 +724,8 @@ impl SimOs {
         {
             if let SimRes::NonDir { parent, name, ino, .. } = self.resolve(pid, path, false) {
                 if self.fs.node(ino).map(|n| n.is_symlink()).unwrap_or(false) {
-                    let (uid, gid) = self.creation_owner(&proc);
-                    let m = self.creation_mode(&proc, mode.map(|m| m.bits()).unwrap_or(0o666));
+                    let (uid, gid) = self.creation_owner(creds);
+                    let m = self.creation_mode(creds, mode.map(|m| m.bits()).unwrap_or(0o666));
                     self.fs.remove_entry(parent, name, true);
                     self.fs.create(
                         parent,
@@ -733,7 +753,7 @@ impl SimOs {
                     return ErrorOrValue::Error(Errno::EISDIR);
                 }
                 let meta = self.node_meta(ino);
-                if !self.allowed(&proc, &meta, Want::Read) {
+                if !self.allowed(creds, &meta, Want::Read) {
                     return ErrorOrValue::Error(Errno::EACCES);
                 }
                 self.alloc_fd(pid, ino, flags, true)
@@ -756,10 +776,10 @@ impl SimOs {
                     return ErrorOrValue::Error(self.profile.trailing_slash_file_errno);
                 }
                 let meta = self.node_meta(ino);
-                if access.readable() && !self.allowed(&proc, &meta, Want::Read) {
+                if access.readable() && !self.allowed(creds, &meta, Want::Read) {
                     return ErrorOrValue::Error(Errno::EACCES);
                 }
-                if access.writable() && !self.allowed(&proc, &meta, Want::Write) {
+                if access.writable() && !self.allowed(creds, &meta, Want::Write) {
                     return ErrorOrValue::Error(Errno::EACCES);
                 }
                 if flags.contains(OpenFlags::O_TRUNC) && access.writable() {
@@ -777,14 +797,14 @@ impl SimOs {
                 if !self.fs.is_connected(parent) && !self.profile.create_in_deleted_cwd_succeeds {
                     return ErrorOrValue::Error(Errno::ENOENT);
                 }
-                if let Err(e) = self.check_dir_writable(&proc, parent) {
+                if let Err(e) = self.check_dir_writable(creds, parent) {
                     return ErrorOrValue::Error(e);
                 }
                 if self.capacity_exceeded(0) {
                     return ErrorOrValue::Error(Errno::ENOSPC);
                 }
-                let (uid, gid) = self.creation_owner(&proc);
-                let m = self.creation_mode(&proc, mode.map(|m| m.bits()).unwrap_or(0o666));
+                let (uid, gid) = self.creation_owner(creds);
+                let m = self.creation_mode(creds, mode.map(|m| m.bits()).unwrap_or(0o666));
                 let Some(ino) = self.fs.create(
                     parent,
                     name,
@@ -927,7 +947,7 @@ impl SimOs {
     // --- metadata ---------------------------------------------------------------
 
     fn do_chmod(&mut self, pid: Pid, path: &ParsedPath, mode: u32) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         if !self.profile.chmod_supported {
             return ErrorOrValue::Error(Errno::EOPNOTSUPP);
         }
@@ -945,7 +965,7 @@ impl SimOs {
             }
         };
         let meta = self.node_meta(ino);
-        if proc.euid != 0 && proc.euid != meta.uid && !self.profile.permissions_not_enforced {
+        if creds.euid != 0 && creds.euid != meta.uid && !self.profile.permissions_not_enforced {
             return ErrorOrValue::Error(Errno::EPERM);
         }
         if let Some(n) = self.fs.node_mut(ino) {
@@ -955,7 +975,7 @@ impl SimOs {
     }
 
     fn do_chown(&mut self, pid: Pid, path: &ParsedPath, uid: u32, gid: u32) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         let ino = match self.resolve(pid, path, true) {
             SimRes::Error(e) => return ErrorOrValue::Error(e),
             SimRes::Missing { .. } => return ErrorOrValue::Error(Errno::ENOENT),
@@ -969,9 +989,9 @@ impl SimOs {
             }
         };
         let meta = self.node_meta(ino);
-        let permitted = proc.euid == 0
+        let permitted = creds.euid == 0
             || self.profile.permissions_not_enforced
-            || (proc.euid == meta.uid && uid == meta.uid);
+            || (creds.euid == meta.uid && uid == meta.uid);
         if !permitted {
             return ErrorOrValue::Error(Errno::EPERM);
         }
@@ -992,14 +1012,14 @@ impl SimOs {
     // --- directory streams --------------------------------------------------------
 
     fn do_opendir(&mut self, pid: Pid, path: &ParsedPath) -> ErrorOrValue {
-        let proc = self.procs[&pid.0].clone();
+        let creds = self.creds(pid);
         match self.resolve(pid, path, true) {
             SimRes::Error(e) => ErrorOrValue::Error(e),
             SimRes::Missing { .. } => ErrorOrValue::Error(Errno::ENOENT),
             SimRes::NonDir { .. } => ErrorOrValue::Error(Errno::ENOTDIR),
             SimRes::Dir { ino, .. } => {
                 let meta = self.node_meta(ino);
-                if !self.allowed(&proc, &meta, Want::Read) {
+                if !self.allowed(creds, &meta, Want::Read) {
                     return ErrorOrValue::Error(Errno::EACCES);
                 }
                 let entries = self.ordered_entries(ino);
